@@ -62,6 +62,15 @@ pub enum RuntimeError {
         /// Where the mapping actually has it.
         actual: usize,
     },
+    /// The simulated event queue ran dry before the run could end: no
+    /// pending event can complete the application or the outstanding
+    /// finite background tasks.
+    Deadlock {
+        /// Whether the application itself had finished.
+        app_done: bool,
+        /// Finite background tasks still owed a completion.
+        pending_bg: usize,
+    },
     /// The run configuration is unusable (e.g. zero PEs).
     InvalidConfig(String),
     /// An AtSync/LB protocol invariant was violated by a message. On the
@@ -92,6 +101,11 @@ impl fmt::Display for RuntimeError {
             RuntimeError::StalePlan { task, expected, actual } => {
                 write!(f, "stale plan: task {task} is on {actual}, not {expected}")
             }
+            RuntimeError::Deadlock { app_done, pending_bg } => write!(
+                f,
+                "deadlock: event queue empty with app {} and {pending_bg} bg tasks pending",
+                if *app_done { "done" } else { "running" }
+            ),
             RuntimeError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             RuntimeError::Protocol(msg) => write!(f, "runtime protocol violation: {msg}"),
         }

@@ -13,8 +13,11 @@
 //!
 //! A window is only captured/replayed when it is provably steady-state:
 //!
-//! * no background job resident anywhere (GPS sharing is
-//!   segmentation-dependent, so only bg-free windows are exact);
+//! * no background job resident anywhere: a core sharing with a
+//!   background task rounds its GPS accounting once per segment, so its
+//!   counter deltas depend on where its time is cut and are not
+//!   translation-invariant ([`cloudlb_sim::Cluster::any_bg`]; a bg-free
+//!   core accrues exactly the wall time of any segment);
 //! * nothing in the event queue except current-epoch ghost messages for
 //!   the boundary iteration (pending interference, failure, or stale
 //!   events decline the window);

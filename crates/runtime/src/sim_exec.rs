@@ -58,7 +58,7 @@ use cloudlb_sim::{
     Time,
 };
 use cloudlb_trace::Activity;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Events driving the simulation.
 #[derive(Debug, Clone, Copy)]
@@ -356,6 +356,13 @@ struct Sim<'a> {
     running: Vec<Option<Running>>,
     /// Per-core pending Wake handle and its instant.
     wake: Vec<Option<(EventHandle, Time)>>,
+    /// `(instant, core)` for every pending Wake, mirroring `wake`: the
+    /// cores due at an instant are a range query.
+    wake_due: BTreeSet<(Time, usize)>,
+    /// Scratch for the cores due at the popped instant.
+    due: Vec<usize>,
+    /// Scratch for the cores the cluster advanced or mutated this event.
+    touched: Vec<usize>,
     /// Ghost counters, structure-of-arrays: two slots per chare at
     /// `chare * 2 + (iter & 1)`. At most two in-flight iterations' worth
     /// of ghosts exist per chare at any instant, so the parity bit
@@ -584,6 +591,9 @@ impl<'a> Sim<'a> {
             ready: (0..pes).map(|_| VecDeque::with_capacity(n.div_ceil(pes) + 1)).collect(),
             running: vec![None; pes],
             wake: vec![None; pes],
+            wake_due: BTreeSet::new(),
+            due: Vec::new(),
+            touched: Vec::with_capacity(pes),
             inbox_count: vec![0; 2 * n],
             inbox_iter: vec![0; 2 * n],
             next_iter: vec![0; n],
@@ -668,19 +678,22 @@ impl<'a> Sim<'a> {
             self.try_start(pe, Time::ZERO);
             self.reschedule_wake(pe);
         }
+        self.cluster.drain_touched(&mut self.touched);
 
         while !(self.app_end.is_some() && self.pending_bg == 0) {
             let Some((t, ev)) = self.queue.pop() else {
-                panic!(
-                    "deadlock: event queue empty with app {} and {} bg tasks pending",
-                    if self.app_end.is_some() { "done" } else { "RUNNING" },
-                    self.pending_bg
-                );
+                return Err(RuntimeError::Deadlock {
+                    app_done: self.app_end.is_some(),
+                    pending_bg: self.pending_bg,
+                });
             };
-            // Settle all cores up to `t`; completions land exactly at `t`
-            // because wakes are kept in sync with composition changes.
+            // Advance the cores due at `t` (plus those the cluster keeps
+            // eager); completions land exactly at `t` because wakes are
+            // kept in sync with composition changes.
+            self.due.clear();
+            self.due.extend(self.wake_due.range(..=(t, usize::MAX)).map(|&(_, core)| core));
             let mut completions = std::mem::take(&mut self.completions);
-            self.cluster.advance_into(t, &mut completions);
+            self.cluster.advance_due_into(t, &self.due, &mut completions);
             for &(ct, ce) in &completions {
                 debug_assert_eq!(ct, t, "late completion discovered: {ce:?} at {ct:?} vs {t:?}");
                 match ce {
@@ -711,11 +724,15 @@ impl<'a> Sim<'a> {
                 }
                 Ev::Evac { .. } => {} // cancelled by a rollback
             }
-            // Refresh wakes (no-op for cores whose next completion is
-            // unchanged).
-            for core in 0..self.num_pes() {
+            // Refresh the wakes of the cores advanced or mutated, in
+            // ascending order. Every other core's next completion is
+            // unchanged, so refreshing it would touch no queue entry.
+            let mut touched = std::mem::take(&mut self.touched);
+            self.cluster.drain_touched(&mut touched);
+            for &core in &touched {
                 self.reschedule_wake(core);
             }
+            self.touched = touched;
             // A window that ended at `t` closes its capture only now, so a
             // boundary ghost that popped at the same instant as the final
             // park has reached the inbox and the template sees it. The
@@ -1999,8 +2016,12 @@ impl<'a> Sim<'a> {
             (Some((_, t_old)), Some(t_new)) if t_old == t_new => {}
             (None, None) => {}
             (old, new) => {
-                if let Some((h, _)) = old {
+                if let Some((h, t_old)) = old {
                     self.queue.cancel(h);
+                    self.wake_due.remove(&(t_old, core));
+                }
+                if let Some(t) = new {
+                    self.wake_due.insert((t, core));
                 }
                 self.wake[core] = new.map(|t| (self.queue.schedule(t, Ev::Wake), t));
             }
@@ -2694,5 +2715,28 @@ mod tests {
         let app = SyntheticApp::ring(16, 0.001);
         let r = SimExecutor::new(&app, small_cfg(10, "cloudrefine"), BgScript::none()).run();
         assert_eq!(r.elastic, ElasticStats::default());
+    }
+
+    #[test]
+    fn empty_queue_before_the_end_is_a_typed_deadlock() {
+        // A finite background task that is owed a completion but was never
+        // scheduled: the queue drains after the app ends.
+        let app = SyntheticApp::ring(8, 0.001);
+        let cfg = small_cfg(5, "nolb");
+        let strategy = cfg.lb.try_strategy().unwrap();
+        let mut sim = Sim::new(
+            &app,
+            cfg,
+            &BgScript::none(),
+            &FailureScript::none(),
+            TelemetrySpec::none(),
+            NetFaultSpec::none(),
+            &MembershipScript::none(),
+            strategy,
+        );
+        sim.pending_bg = 1;
+        let err = sim.run().unwrap_err();
+        assert_eq!(err, RuntimeError::Deadlock { app_done: true, pending_bg: 1 });
+        assert!(err.to_string().contains("app done and 1 bg tasks pending"), "{err}");
     }
 }

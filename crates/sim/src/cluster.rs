@@ -3,6 +3,15 @@
 //! Mirrors the paper's testbed shape (8 single-socket nodes with a quad-core
 //! Xeon each; experiments use 4–32 cores). Core indices are global; core
 //! `i` lives on node `i / cores_per_node`.
+//!
+//! Cores are settled lazily. The cluster keeps the current instant `now`;
+//! a core whose accounting does not depend on how its time is cut into
+//! segments (see [`Core::segmentation_sensitive`]) is advanced only when it
+//! completes something, when a mutator touches it, or when everything is
+//! settled at once. Readers project such a core to `now` without cutting a
+//! segment. Sensitive cores (background hosts) are advanced at every step,
+//! and with tracing on every core is, so the results are bit-identical to
+//! advancing every core at every step.
 
 use crate::core_sched::{BgJobId, Core, CoreEvent, CoreStat, FgLabel};
 use crate::time::{Dur, Time};
@@ -52,6 +61,15 @@ pub struct Cluster {
     /// idle) but must not be scheduled on; the executor enforces that.
     alive: Vec<bool>,
     trace: Option<TraceLog>,
+    /// The instant the cluster has been advanced to.
+    now: Time,
+    /// Segmentation-sensitive cores, ascending; a superset (until the next
+    /// [`Cluster::drain_touched`]) of the cores that need eager advancing.
+    eager: Vec<usize>,
+    /// Cores advanced or mutated since the last [`Cluster::drain_touched`].
+    touched: Vec<usize>,
+    /// Membership flags for `touched`.
+    touched_mark: Vec<bool>,
 }
 
 impl Cluster {
@@ -64,6 +82,10 @@ impl Cluster {
             alive: vec![true; n],
             trace: if cfg.trace { Some(TraceLog::new(n)) } else { None },
             cfg,
+            now: Time::ZERO,
+            eager: Vec::new(),
+            touched: Vec::new(),
+            touched_mark: vec![false; n],
         }
     }
 
@@ -95,16 +117,50 @@ impl Cluster {
         events
     }
 
-    /// [`Cluster::advance_to`] into a caller-owned buffer, so the
-    /// per-event executor loop reuses one allocation instead of growing a
-    /// fresh `Vec` per pop. `events` is cleared first. The sort must stay
-    /// stable: a core can emit `FgDone` and `BgDone` at the same instant,
-    /// and their relative order is part of the deterministic schedule.
+    /// [`Cluster::advance_to`] into a caller-owned buffer. `events` is
+    /// cleared first.
     pub fn advance_into(&mut self, to: Time, events: &mut Vec<(Time, CoreEvent)>) {
         events.clear();
-        for core in &mut self.cores {
-            core.advance(to, events, self.trace.as_mut());
+        self.now = to;
+        for core in 0..self.cores.len() {
+            self.advance_core(core, events);
         }
+        Self::sort_completions(events);
+    }
+
+    /// Advance to `to` only the cores that can complete something by then
+    /// — `due`, the cores whose next completion is at or before `to` —
+    /// plus every segmentation-sensitive core; every other core is left to
+    /// be settled lazily. With tracing on every core is advanced, so the
+    /// Projections intervals stay cut at every step. The completions are
+    /// the ones [`Cluster::advance_into`] would collect, in the same order,
+    /// into a caller-owned buffer (cleared first) that the per-event
+    /// executor loop reuses.
+    pub fn advance_due_into(
+        &mut self,
+        to: Time,
+        due: &[usize],
+        events: &mut Vec<(Time, CoreEvent)>,
+    ) {
+        if self.trace.is_some() {
+            return self.advance_into(to, events);
+        }
+        debug_assert!(to >= self.now, "advancing into the past");
+        events.clear();
+        self.now = to;
+        for &core in due {
+            self.advance_core(core, events);
+        }
+        for i in 0..self.eager.len() {
+            self.advance_core(self.eager[i], events);
+        }
+        Self::sort_completions(events);
+    }
+
+    /// The sort must stay stable: a core can emit `FgDone` and `BgDone` at
+    /// the same instant, and their relative order is part of the
+    /// deterministic schedule.
+    fn sort_completions(events: &mut [(Time, CoreEvent)]) {
         events.sort_by_key(|(t, e)| {
             (*t, match e {
                 CoreEvent::FgDone { core } => *core,
@@ -113,9 +169,55 @@ impl Cluster {
         });
     }
 
+    fn advance_core(&mut self, core: usize, events: &mut Vec<(Time, CoreEvent)>) {
+        self.cores[core].advance(self.now, events, self.trace.as_mut());
+        self.touch(core);
+    }
+
+    /// Apply `op` to `core` after settling it to `now`. A lazily settled
+    /// core has nothing due before `now` (it would have been advanced), so
+    /// settling completes nothing.
+    fn mutate<R>(&mut self, core: usize, op: impl FnOnce(&mut Core) -> R) -> R {
+        let mut completions = Vec::new();
+        self.cores[core].advance(self.now, &mut completions, self.trace.as_mut());
+        debug_assert!(completions.is_empty(), "settling completed {completions:?}");
+        let out = op(&mut self.cores[core]);
+        self.touch(core);
+        out
+    }
+
+    /// Record that `core` changed, and keep it eager while it is
+    /// segmentation-sensitive.
+    fn touch(&mut self, core: usize) {
+        if !self.touched_mark[core] {
+            self.touched_mark[core] = true;
+            self.touched.push(core);
+        }
+        if self.cores[core].segmentation_sensitive() {
+            if let Err(i) = self.eager.binary_search(&core) {
+                self.eager.insert(i, core);
+            }
+        }
+    }
+
+    /// Move the cores advanced or mutated since the last call into `out`
+    /// (cleared first), in ascending order. These are the only cores whose
+    /// next completion can have changed. Cores that stopped being
+    /// segmentation-sensitive leave the eager set here.
+    pub fn drain_touched(&mut self, out: &mut Vec<usize>) {
+        out.clear();
+        std::mem::swap(out, &mut self.touched);
+        out.sort_unstable();
+        for &core in out.iter() {
+            self.touched_mark[core] = false;
+        }
+        let cores = &self.cores;
+        self.eager.retain(|&c| cores[c].segmentation_sensitive());
+    }
+
     /// Begin a foreground task on `core` (see [`Core::start_fg`]).
     pub fn start_fg(&mut self, core: usize, label: FgLabel, demand: Dur, weight: f64) {
-        self.cores[core].start_fg(label, demand, weight);
+        self.mutate(core, |c| c.start_fg(label, demand, weight));
     }
 
     /// `true` while `core` executes a foreground task.
@@ -125,12 +227,12 @@ impl Cluster {
 
     /// Attach a background task of `job` to `core`.
     pub fn add_bg(&mut self, core: usize, job: BgJobId, demand: Option<Dur>, weight: f64) {
-        self.cores[core].add_bg(job, demand, weight);
+        self.mutate(core, |c| c.add_bg(job, demand, weight));
     }
 
     /// Detach all of `job`'s background tasks from `core`; returns CPU consumed.
     pub fn remove_bg(&mut self, core: usize, job: BgJobId) -> Dur {
-        self.cores[core].remove_bg(job)
+        self.mutate(core, |c| c.remove_bg(job))
     }
 
     /// Background jobs currently on `core`.
@@ -138,12 +240,14 @@ impl Cluster {
         self.cores[core].bg_jobs()
     }
 
-    /// `true` if any core currently hosts a background task. A cluster
-    /// with resident interference shares cores through the GPS model, whose
-    /// per-segment rounding is segmentation-dependent — so the fast-forward
-    /// engine only macro-steps while this is `false`.
+    /// `true` if any core currently hosts a background task. A core
+    /// sharing with a background task rounds its GPS accounting once per
+    /// segment, so its counters depend on where its time is cut; the
+    /// fast-forward engine replays measured per-core deltas, so it only
+    /// macro-steps while this is `false`. O(sensitive cores): every
+    /// background host is in the eager set.
     pub fn any_bg(&self) -> bool {
-        self.cores.iter().any(|c| c.has_bg())
+        self.eager.iter().any(|&c| self.cores[c].has_bg())
     }
 
     /// Fast-forward support: jump *every* core's accounting to `to` in one
@@ -151,12 +255,13 @@ impl Cluster {
     /// measured over an equivalent window by [`Cluster::stats`]
     /// differencing). Panics unless every core is quiescent; see
     /// [`Core::bulk_advance`]. Emits no completion events and records no
-    /// trace intervals.
+    /// trace intervals. Every core is settled to the current instant first.
     pub fn bulk_advance(&mut self, to: Time, deltas: &[CoreStat]) {
         assert_eq!(deltas.len(), self.cores.len(), "one delta per core");
-        for (core, delta) in self.cores.iter_mut().zip(deltas) {
-            core.bulk_advance(to, *delta);
+        for (core, &delta) in deltas.iter().enumerate() {
+            self.mutate(core, |c| c.bulk_advance(to, delta));
         }
+        self.now = to;
     }
 
     /// Earliest completion on `core` under the current composition.
@@ -164,14 +269,15 @@ impl Cluster {
         self.cores[core].next_completion()
     }
 
-    /// `/proc/stat` snapshot for one core.
+    /// `/proc/stat` snapshot for one core at the current instant (a
+    /// projection: it never cuts a segment).
     pub fn core_stat(&self, core: usize) -> CoreStat {
-        self.cores[core].stat()
+        self.cores[core].stat_at(self.now)
     }
 
-    /// `/proc/stat` snapshot for every core.
+    /// `/proc/stat` snapshot for every core at the current instant.
     pub fn stats(&self) -> Vec<CoreStat> {
-        self.cores.iter().map(|c| c.stat()).collect()
+        self.cores.iter().map(|c| c.stat_at(self.now)).collect()
     }
 
     /// `true` while `core` has not failed (or has been restored).
@@ -198,10 +304,7 @@ impl Cluster {
             return KilledCore::default();
         }
         self.alive[core] = false;
-        KilledCore {
-            aborted_fg: self.cores[core].abort_fg(),
-            evicted_bg: self.cores[core].clear_bg(),
-        }
+        self.mutate(core, |c| KilledCore { aborted_fg: c.abort_fg(), evicted_bg: c.clear_bg() })
     }
 
     /// Bring a failed core back (a replacement VM). It re-joins empty; the
@@ -214,7 +317,7 @@ impl Cluster {
     /// rollback: surviving cores abandon in-flight work before replay).
     /// Liveness and background jobs are untouched.
     pub fn abort_fg(&mut self, core: usize) -> Option<FgLabel> {
-        self.cores[core].abort_fg()
+        self.mutate(core, Core::abort_fg)
     }
 
     /// Global core indices belonging to `node`.
@@ -365,11 +468,90 @@ mod tests {
     #[test]
     fn any_bg_tracks_residency() {
         let mut cl = Cluster::new(ClusterConfig { nodes: 1, cores_per_node: 2, trace: false });
+        let mut scratch = Vec::new();
         assert!(!cl.any_bg());
         cl.add_bg(1, 3, None, 1.0);
         assert!(cl.any_bg());
         cl.remove_bg(1, 3);
         assert!(!cl.any_bg());
+        // A finite task's completion clears it, with or without a drain.
+        cl.add_bg(0, 4, Some(Dur::from_us(500)), 1.0);
+        cl.drain_touched(&mut scratch);
+        assert!(cl.any_bg());
+        let mut ev = Vec::new();
+        cl.advance_due_into(Time::from_us(500), &[], &mut ev);
+        assert_eq!(ev, vec![(Time::from_us(500), CoreEvent::BgDone { core: 0, job: 4 })]);
+        assert!(!cl.any_bg());
+        cl.drain_touched(&mut scratch);
+        assert!(!cl.any_bg());
+        // So does a kill.
+        cl.add_bg(1, 5, None, 1.0);
+        assert!(cl.any_bg());
+        cl.kill_core(1);
+        assert!(!cl.any_bg());
+    }
+
+    #[test]
+    fn lazy_cluster_matches_an_eagerly_advanced_twin() {
+        // Random foreground starts, background arrivals and removals, and
+        // kills, driven through both entry points: the lazy twin advances
+        // only the due cores (plus its eager set), the other every core.
+        // Completions, projected counters and next completions agree.
+        let mut rng = crate::rng::SimRng::new(0xC1_5E77);
+        for case in 0..48 {
+            let cfg = ClusterConfig { nodes: 2, cores_per_node: 4, trace: false };
+            let (mut lazy, mut eager) = (Cluster::new(cfg.clone()), Cluster::new(cfg));
+            let (mut ev_lazy, mut ev_eager, mut due, mut touched) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let mut t = Time::ZERO;
+            for step in 0..300 {
+                let core = rng.below(8) as usize;
+                match rng.below(10) {
+                    0..=5 if !lazy.fg_busy(core) && lazy.is_alive(core) => {
+                        let demand = Dur::from_us(rng.range_u64(0, 5_000));
+                        for cl in [&mut lazy, &mut eager] {
+                            cl.start_fg(core, FgLabel { chare: step }, demand, 1.0);
+                        }
+                    }
+                    6 if lazy.is_alive(core) => {
+                        let demand = (rng.below(2) == 0)
+                            .then(|| Dur::from_us(rng.range_u64(1, 20_000)));
+                        let weight = rng.range_f64(0.5, 4.0);
+                        for cl in [&mut lazy, &mut eager] {
+                            cl.add_bg(core, step as BgJobId, demand, weight);
+                        }
+                    }
+                    7 => {
+                        if let Some(&job) = lazy.bg_jobs_on(core).first() {
+                            for cl in [&mut lazy, &mut eager] {
+                                cl.remove_bg(core, job);
+                            }
+                        }
+                    }
+                    8 if rng.below(20) == 0 => {
+                        for cl in [&mut lazy, &mut eager] {
+                            cl.kill_core(core);
+                            cl.restore_core(core);
+                        }
+                    }
+                    _ => {}
+                }
+                lazy.drain_touched(&mut touched);
+                // The next instant: the earliest completion, or earlier.
+                let next = (0..8).filter_map(|c| lazy.next_completion(c)).min();
+                let jump = Time::from_us(t.as_us() + rng.range_u64(0, 3_000));
+                t = next.map_or(jump, |n| n.min(jump)).max(t);
+                due.clear();
+                due.extend((0..8).filter(|&c| lazy.next_completion(c).is_some_and(|n| n <= t)));
+                lazy.advance_due_into(t, &due, &mut ev_lazy);
+                eager.advance_into(t, &mut ev_eager);
+                assert_eq!(ev_lazy, ev_eager, "case {case} step {step}: completions");
+                assert_eq!(lazy.stats(), eager.stats(), "case {case} step {step}: counters");
+                for c in 0..8 {
+                    assert_eq!(lazy.next_completion(c), eager.next_completion(c), "case {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -123,6 +123,46 @@ impl Core {
         self.stat
     }
 
+    /// The counters that advancing to `now` would produce, without
+    /// cutting a segment. Exact for a core with no background task, a unit
+    /// foreground weight and no completion before `now`: its foreground
+    /// (if any) receives every microsecond of the gap, otherwise the gap
+    /// is idle.
+    pub fn stat_at(&self, now: Time) -> CoreStat {
+        let mut stat = self.stat;
+        if now > self.last {
+            debug_assert!(
+                self.bg.is_empty() && self.fg.as_ref().is_none_or(|f| f.weight == 1.0),
+                "core {}: projected across GPS sharing",
+                self.index
+            );
+            debug_assert!(
+                self.next_completion().is_none_or(|c| c > now),
+                "core {}: projected past a completion",
+                self.index
+            );
+            let gap = (now - self.last).as_us();
+            match self.fg {
+                Some(_) => stat.fg_us += gap,
+                None => stat.idle_us += gap,
+            }
+        }
+        stat
+    }
+
+    /// `true` if how this core's time is cut into segments can change its
+    /// accounting: GPS sharing with a background task rounds per segment,
+    /// and so does a foreground weight other than 1 or a fractional
+    /// remaining demand (the residue of sharing that a `remove_bg` or a
+    /// background completion left behind; a sub-[`EPS_US`] residue
+    /// completes at whichever instant first reaches it). Every other core
+    /// accrues exactly the wall time of any segment, so it may be settled
+    /// lazily.
+    pub fn segmentation_sensitive(&self) -> bool {
+        !self.bg.is_empty()
+            || self.fg.as_ref().is_some_and(|f| f.weight != 1.0 || f.remaining_us.fract() != 0.0)
+    }
+
     /// The instant up to which this core's accounting is complete.
     pub fn accounted_until(&self) -> Time {
         self.last
@@ -549,5 +589,102 @@ mod tests {
         let mut c = Core::new(0);
         c.add_bg(0, None, 1.0);
         assert_eq!(c.next_completion(), None);
+    }
+
+    /// A core with no background task and random foreground work left:
+    /// an integral demand, or the fractional residue of GPS sharing that a
+    /// `remove_bg` leaves behind.
+    fn bg_free_core(rng: &mut crate::rng::SimRng, shared: bool) -> Core {
+        let mut c = Core::new(0);
+        let demand = Dur::from_us(rng.range_u64(0, 40_000));
+        if shared {
+            c.add_bg(1, None, rng.range_f64(0.3, 5.0));
+            c.start_fg(FgLabel { chare: 0 }, demand, 1.0);
+            advance_collect(&mut c, Time::from_us(rng.range_u64(0, 3_000)));
+            c.remove_bg(1);
+        } else {
+            advance_collect(&mut c, Time::from_us(rng.range_u64(0, 3_000)));
+            c.start_fg(FgLabel { chare: 0 }, demand, 1.0);
+        }
+        c
+    }
+
+    #[test]
+    fn core_without_bg_is_invariant_under_cuts() {
+        // Random cut points give the same counters, next completion and
+        // completion instants as one uncut advance; the projection
+        // `stat_at` of the uncut core matches the cut one at every cut.
+        let mut rng = crate::rng::SimRng::new(0x1A2_7001);
+        let mut fractional = 0;
+        for case in 0..512 {
+            let core = bg_free_core(&mut rng, case % 2 == 1);
+            let frac = core.fg.as_ref().map_or(0.0, |f| f.remaining_us.fract());
+            // A sub-EPS residue is the one segmentation-dependent case
+            // (see `sub_eps_residue_is_segmentation_sensitive`).
+            if frac != 0.0 && frac <= EPS_US {
+                continue;
+            }
+            fractional += usize::from(frac != 0.0);
+            let start = core.accounted_until().as_us();
+            let to = Time::from_us(start + rng.range_u64(0, 60_000));
+            let mut uncut = core.clone();
+            let uncut_ev = advance_collect(&mut uncut, to);
+            let mut cut = core.clone();
+            let mut cut_ev = Vec::new();
+            let mut cuts: Vec<u64> =
+                (0..rng.range_u64(1, 12)).map(|_| rng.range_u64(start, to.as_us() + 1)).collect();
+            cuts.sort_unstable();
+            for at in cuts {
+                let at = Time::from_us(at);
+                if core.next_completion().is_none_or(|c| c > at) {
+                    cut.advance(at, &mut cut_ev, None);
+                    assert_eq!(core.stat_at(at), cut.stat(), "case {case}: projection at {at:?}");
+                    assert_eq!(cut.next_completion(), core.next_completion(), "case {case}");
+                } else {
+                    cut.advance(at, &mut cut_ev, None);
+                }
+            }
+            cut.advance(to, &mut cut_ev, None);
+            assert_eq!(cut_ev, uncut_ev, "case {case}: completions");
+            assert_eq!(cut.stat(), uncut.stat(), "case {case}: counters");
+            assert_eq!(cut.next_completion(), uncut.next_completion(), "case {case}");
+            assert_eq!(cut.dust_us.to_bits(), uncut.dust_us.to_bits(), "case {case}: dust");
+        }
+        assert!(fractional > 100, "only {fractional} fractional residues exercised");
+    }
+
+    #[test]
+    fn sub_eps_residue_is_segmentation_sensitive() {
+        // A residue of k + δ µs with δ ≤ EPS completes at the first cut at
+        // or after k µs, but at its wake (k + 1 µs) when uncut — so such a
+        // core must be advanced eagerly.
+        let mut c = Core::new(0);
+        c.start_fg(FgLabel { chare: 0 }, Dur::from_us(5), 1.0);
+        c.fg.as_mut().unwrap().remaining_us = 5.0 + 5e-7;
+        assert!(c.segmentation_sensitive());
+        let mut cut = c.clone();
+        advance_collect(&mut cut, Time::from_us(5));
+        assert_eq!(cut.fg.as_ref().map(|f| f.remaining_us), None, "completed at the cut");
+        let uncut = advance_collect(&mut c, Time::from_us(10));
+        assert_eq!(uncut, vec![(Time::from_us(6), CoreEvent::FgDone { core: 0 })]);
+    }
+
+    #[test]
+    fn sensitivity_follows_composition() {
+        let mut c = Core::new(0);
+        assert!(!c.segmentation_sensitive());
+        c.start_fg(FgLabel { chare: 0 }, Dur::from_us(100), 1.0);
+        assert!(!c.segmentation_sensitive());
+        c.add_bg(1, None, 3.0);
+        assert!(c.segmentation_sensitive());
+        advance_collect(&mut c, Time::from_us(7));
+        c.remove_bg(1);
+        // 100 − 7/4 µs remain: a fractional residue keeps it sensitive
+        // until the foreground task completes.
+        assert!(c.segmentation_sensitive());
+        advance_collect(&mut c, Time::from_us(1_000));
+        assert!(!c.fg_busy() && !c.segmentation_sensitive());
+        c.start_fg(FgLabel { chare: 0 }, Dur::from_us(100), 2.0);
+        assert!(c.segmentation_sensitive(), "non-unit fg weight");
     }
 }

@@ -19,7 +19,7 @@ pub struct ProcStat {
 }
 
 impl ProcStat {
-    /// Snapshot the cluster's counters (valid up to its last advance).
+    /// Snapshot the cluster's counters at its current instant.
     pub fn snapshot(cluster: &Cluster) -> Self {
         ProcStat { cores: cluster.stats() }
     }
