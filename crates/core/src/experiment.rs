@@ -57,174 +57,97 @@ pub fn try_run_scenario(s: &Scenario) -> Result<RunResult, RuntimeError> {
     exec.try_run()
 }
 
-/// The cost of dirty counters: a telemetry-corrupted run compared against
-/// the same scenario over clean telemetry, plus the validation and
-/// decision counters that explain where the damage went.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TelemetryImpact {
-    /// Cores-per-window whose raw Eq. 2 value went negative.
-    pub clamped_op: usize,
-    /// Windows that read stale/dropped counters.
-    pub missing_samples: usize,
-    /// `Σ t_i > T_lb` violations.
-    pub task_overrun: usize,
-    /// `t_idle > T_lb` violations.
-    pub implausible_idle: usize,
-    /// Migrations suppressed by the hysteresis noise-floor gate.
-    pub suppressed: usize,
-    /// A→B→A oscillations damped.
-    pub oscillations: usize,
-    /// `O_p` outliers rejected by the robust estimator.
-    pub outliers_rejected: usize,
-    /// Migrations actually committed.
-    pub migrations: usize,
-    /// Wall-time penalty of the corruption:
-    /// `(T_noisy − T_clean) / T_clean`.
-    pub noise_penalty: f64,
+/// A chaos layer a [`Scenario`] can switch on, priced by [`impacts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Layer {
+    /// Injected core/node failures (`Scenario::fail`).
+    Failures,
+    /// Corrupted `/proc/stat` counters (`Scenario::telemetry`).
+    Telemetry,
+    /// Flaky interconnect (`Scenario::net_fault`).
+    Network,
+    /// Elastic membership churn (`Scenario::membership`).
+    Membership,
 }
 
-/// Compare a telemetry-corrupted run against its clean-telemetry twin.
-pub fn telemetry_impact(noisy: &RunResult, clean: &RunResult) -> TelemetryImpact {
-    TelemetryImpact {
-        clamped_op: noisy.telemetry.clamped_op,
-        missing_samples: noisy.telemetry.missing_samples,
-        task_overrun: noisy.telemetry.task_overrun,
-        implausible_idle: noisy.telemetry.implausible_idle,
-        suppressed: noisy.decisions.suppressed,
-        oscillations: noisy.decisions.oscillations,
-        outliers_rejected: noisy.decisions.outliers_rejected,
-        migrations: noisy.migrations,
-        noise_penalty: noisy.timing_penalty_vs(clean),
+impl Layer {
+    /// Every layer, in report order.
+    pub const ALL: [Layer; 4] =
+        [Layer::Failures, Layer::Telemetry, Layer::Network, Layer::Membership];
+
+    /// Whether this layer did anything in `run`, the result of `scn`.
+    fn is_active(self, scn: &Scenario, run: &RunResult) -> bool {
+        match self {
+            Layer::Failures => run.failures > 0,
+            Layer::Telemetry => scn.telemetry.is_some(),
+            Layer::Network => scn.net_fault.is_some(),
+            Layer::Membership => scn.membership.as_ref().is_some_and(|m| m.is_active()),
+        }
+    }
+
+    /// The clean twin of `scn` for this layer: the same scenario with only
+    /// this layer stripped, so the twin differs from the run in nothing
+    /// else.
+    pub fn clean_twin(self, scn: &Scenario) -> Scenario {
+        let mut twin = scn.clone();
+        match self {
+            Layer::Failures => twin.fail.clear(),
+            Layer::Telemetry => twin.telemetry = None,
+            Layer::Network => twin.net_fault = None,
+            Layer::Membership => twin.membership = None,
+        }
+        twin
     }
 }
 
-/// The cost of a degraded interconnect: a network-chaos run compared
-/// against the same scenario over a clean network, plus the damage
-/// counters that explain where the time went.
+/// What one chaos layer cost a run: the paper's timing penalty (§V),
+/// taken against the layer's [`Layer::clean_twin`] instead of the
+/// interference-free base. The counters explaining where the time went
+/// live on the [`RunResult`] itself (`failures`/`recoveries`/
+/// `replayed_iters`/`recovery_time`, `telemetry` + `decisions`, `net`,
+/// `elastic`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetworkImpact {
-    /// Message copies destroyed by loss or partitions.
-    pub lost_copies: u64,
-    /// Ghost retransmissions forced by the reliable transport.
-    pub retransmits: u64,
-    /// Duplicate deliveries suppressed by sequence numbering.
-    pub duplicates_dropped: u64,
-    /// Migration data/ACK re-sends beyond the first attempt.
-    pub migration_retries: u64,
-    /// Migrations aborted on deadline/attempt exhaustion (the chare stayed
-    /// on its source core and was re-planned at a later LB step).
-    pub migration_aborts: u64,
-    /// Scheduled partition time summed over windows, in seconds.
-    pub partition_s: f64,
-    /// Migrations actually committed.
-    pub migrations: usize,
-    /// Wall-time penalty of the chaos: `(T_flaky − T_clean) / T_clean`.
-    pub net_penalty: f64,
-}
-
-/// Compare a network-chaos run against its clean-network twin.
-pub fn network_impact(flaky: &RunResult, clean: &RunResult) -> NetworkImpact {
-    NetworkImpact {
-        lost_copies: flaky.net.lost_copies,
-        retransmits: flaky.net.retransmits,
-        duplicates_dropped: flaky.net.duplicates_dropped,
-        migration_retries: flaky.net.migration_retries,
-        migration_aborts: flaky.net.migration_aborts,
-        partition_s: flaky.net.partition_us as f64 / 1e6,
-        migrations: flaky.migrations,
-        net_penalty: flaky.timing_penalty_vs(clean),
-    }
-}
-
-/// The cost of surviving failures: a failure-injected run compared against
-/// the same scenario without its failure schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureImpact {
-    /// Cores killed during the run.
-    pub failures: usize,
-    /// Rollback/replay cycles completed.
-    pub recoveries: usize,
-    /// Chare-iterations re-executed during replay.
-    pub replayed_iters: usize,
-    /// Seconds spent in detection, restore and re-balancing pauses.
-    pub recovery_time_s: f64,
-    /// Wall-time penalty of the failures: `(T_fail − T_clean) / T_clean`.
-    pub failure_penalty: f64,
-}
-
-/// Compare a failure-injected run against its failure-free twin.
-pub fn failure_impact(failed: &RunResult, clean: &RunResult) -> FailureImpact {
-    FailureImpact {
-        failures: failed.failures,
-        recoveries: failed.recoveries,
-        replayed_iters: failed.replayed_iters,
-        recovery_time_s: failed.recovery_time.as_secs_f64(),
-        failure_penalty: failed.timing_penalty_vs(clean),
-    }
-}
-
-/// The cost of elastic membership churn: an elastic run compared against a
-/// *capacity-tracking* clean twin — a hypothetical run doing the measured
-/// clean twin's work at a throughput that follows the scenario's capacity
-/// trajectory — so losing half the machine for the tail of the run is
-/// priced as capacity, not blamed on the evacuation machinery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ElasticityImpact {
-    /// Preemption notices delivered.
-    pub notices: usize,
-    /// Nodes hard-revoked.
-    pub nodes_revoked: usize,
-    /// Nodes acquired mid-run.
-    pub acquisitions: usize,
-    /// Acquired nodes that completed warm-up.
-    pub warmups: usize,
-    /// Node evacuations started on notice.
-    pub evacuations_attempted: usize,
-    /// Evacuations that emptied the node before its revocation.
-    pub evacuations_completed: usize,
-    /// Chares drained off doomed nodes before revocation.
-    pub chares_drained: usize,
-    /// Chares rescued by an in-flight transfer landing after revocation.
-    pub chares_rescued: usize,
-    /// Chares lost to revocation and restored from checkpoint (rollback).
-    pub chares_rolled_back: usize,
-    /// Raw wall-time penalty: `(T_elastic − T_clean) / T_clean`.
+pub struct Impact {
+    /// The layer priced.
+    pub layer: Layer,
+    /// `(T_run − T_twin) / T_twin`.
     pub penalty: f64,
-    /// Time-averaged active capacity of the elastic run, as a fraction of
-    /// the initial cores ([`Scenario::capacity_avg_frac`]).
-    pub capacity_avg_frac: f64,
-    /// Capacity-adjusted penalty: `T_elastic / T_tracking − 1`, where
-    /// `T_tracking` is the capacity-tracking clean twin's makespan
-    /// ([`Scenario::capacity_tracking_makespan`]) — what the churn cost
-    /// beyond the capacity it took away.
-    pub capacity_adjusted_penalty: f64,
+    /// Membership only: `T_run / T_tracking − 1`, where `T_tracking` is
+    /// the makespan of a *capacity-tracking* clean twin — the measured
+    /// twin's work done at a throughput following the scenario's capacity
+    /// trajectory ([`Scenario::capacity_tracking_makespan`]) — so losing
+    /// half the machine for the tail of the run is priced as capacity, not
+    /// blamed on the evacuation machinery.
+    pub capacity_adjusted: Option<f64>,
 }
 
-/// Compare an elastic-membership run against its static-cluster twin.
-pub fn elasticity_impact(
-    elastic: &RunResult,
-    clean: &RunResult,
-    scn: &Scenario,
-) -> ElasticityImpact {
-    let cap = scn.capacity_avg_frac();
-    let t_elastic = elastic.app_time.as_secs_f64();
-    let t_clean = clean.app_time.as_secs_f64().max(f64::MIN_POSITIVE);
-    let base_s = scn.base_time_estimate(scn.build_app().as_ref());
-    let t_tracking = scn.capacity_tracking_makespan(t_clean, base_s).max(f64::MIN_POSITIVE);
-    ElasticityImpact {
-        notices: elastic.elastic.notices,
-        nodes_revoked: elastic.elastic.nodes_revoked,
-        acquisitions: elastic.elastic.acquisitions,
-        warmups: elastic.elastic.warmups,
-        evacuations_attempted: elastic.elastic.evacuations_attempted,
-        evacuations_completed: elastic.elastic.evacuations_completed,
-        chares_drained: elastic.elastic.chares_drained,
-        chares_rescued: elastic.elastic.chares_rescued,
-        chares_rolled_back: elastic.elastic.chares_rolled_back,
-        penalty: elastic.timing_penalty_vs(clean),
-        capacity_avg_frac: cap,
-        capacity_adjusted_penalty: t_elastic / t_tracking - 1.0,
+impl Impact {
+    /// Price `layer` of `run`, the result of `scn`, against `twin`, the
+    /// result of `layer.clean_twin(scn)`.
+    pub fn new(layer: Layer, scn: &Scenario, run: &RunResult, twin: &RunResult) -> Impact {
+        let capacity_adjusted = (layer == Layer::Membership).then(|| {
+            let t_clean = twin.app_time.as_secs_f64().max(f64::MIN_POSITIVE);
+            let base_s = scn.base_time_estimate(scn.build_app().as_ref());
+            let t_tracking =
+                scn.capacity_tracking_makespan(t_clean, base_s).max(f64::MIN_POSITIVE);
+            run.app_time.as_secs_f64() / t_tracking - 1.0
+        });
+        Impact { layer, penalty: run.timing_penalty_vs(twin), capacity_adjusted }
     }
+}
+
+/// Price every active layer of `run`, the result of `scn`, against its
+/// clean twin, in [`Layer::ALL`] order. A twin that fails to run is a
+/// typed error.
+pub fn impacts(scn: &Scenario, run: &RunResult) -> Result<Vec<Impact>, RuntimeError> {
+    Layer::ALL
+        .into_iter()
+        .filter(|layer| layer.is_active(scn, run))
+        .map(|layer| {
+            let twin = try_run_scenario(&layer.clean_twin(scn))?;
+            Ok(Impact::new(layer, scn, run, &twin))
+        })
+        .collect()
 }
 
 /// Averaged metrics for one `(app, cores)` cell.
@@ -514,20 +437,8 @@ pub fn evaluate(
     lb_strategy: &str,
     seeds: &[u64],
 ) -> EvalPoint {
-    evaluate_jobs(app, cores, iterations, lb_strategy, seeds, default_jobs())
-}
-
-/// [`evaluate`] with an explicit worker count.
-pub fn evaluate_jobs(
-    app: &str,
-    cores: usize,
-    iterations: usize,
-    lb_strategy: &str,
-    seeds: &[u64],
-    jobs: usize,
-) -> EvalPoint {
     let cell = CellSpec::paper(app, cores, iterations, lb_strategy);
-    evaluate_cells(std::slice::from_ref(&cell), seeds, jobs)
+    evaluate_cells(std::slice::from_ref(&cell), seeds, default_jobs())
         .pop()
         .expect("one cell in, one point out")
 }
@@ -615,22 +526,52 @@ mod tests {
         evaluate("jacobi2d", 4, 10, "cloudrefine", &[]);
     }
 
+    /// `impacts` prices exactly the active layers, each against the twin
+    /// that strips only that layer, and adjusts for capacity only under
+    /// membership churn.
+    #[test]
+    fn impacts_price_each_active_layer_against_its_twin() {
+        let cases = [
+            (Scenario::failure_drill("wave2d", 4, "cloudrefine"), vec![Layer::Failures]),
+            (Scenario::noisy_cloud("wave2d", 4, "robustcloudrefine"), vec![Layer::Telemetry]),
+            (Scenario::flaky_cloud("jacobi2d", 8, "cloudrefine"), vec![Layer::Network]),
+            (Scenario::spot_storm("jacobi2d", 8, "cloudrefine"), vec![Layer::Membership]),
+            (Scenario::paper("jacobi2d", 4, "cloudrefine"), vec![]),
+        ];
+        for (mut scn, layers) in cases {
+            scn.iterations = 30;
+            let run = try_run_scenario(&scn).expect("preset runs");
+            let got = impacts(&scn, &run).expect("twins run");
+            let got_layers: Vec<Layer> = got.iter().map(|i| i.layer).collect();
+            assert_eq!(got_layers, layers, "{}", scn.app);
+            for imp in got {
+                let twin = run_scenario(&imp.layer.clean_twin(&scn));
+                assert_eq!(
+                    imp.penalty.to_bits(),
+                    run.timing_penalty_vs(&twin).to_bits(),
+                    "{:?}",
+                    imp.layer
+                );
+                match imp.capacity_adjusted {
+                    Some(adj) => {
+                        assert_eq!(imp.layer, Layer::Membership);
+                        assert!(adj <= imp.penalty, "{adj} > {}", imp.penalty);
+                    }
+                    None => assert_ne!(imp.layer, Layer::Membership),
+                }
+            }
+        }
+    }
+
     #[test]
     fn noisy_cloud_scenario_runs_and_reports_impact() {
         let mut noisy = Scenario::noisy_cloud("wave2d", 4, "robustcloudrefine");
         noisy.iterations = 30;
-        let mut clean = noisy.clone();
-        clean.telemetry = None;
         let n = run_scenario(&noisy);
-        let c = run_scenario(&clean);
-        let impact = telemetry_impact(&n, &c);
+        let q = n.telemetry;
         assert!(
-            impact.clamped_op
-                + impact.missing_samples
-                + impact.task_overrun
-                + impact.implausible_idle
-                > 0,
-            "corruption must trip the validators: {impact:?}"
+            q.clamped_op + q.missing_samples + q.task_overrun + q.implausible_idle > 0,
+            "corruption must trip the validators: {q:?}"
         );
         assert!(n.iter_times.len() == 30, "ground truth still completes");
     }
@@ -639,17 +580,15 @@ mod tests {
     fn flaky_cloud_scenario_runs_and_reports_impact() {
         let mut flaky = Scenario::flaky_cloud("jacobi2d", 8, "cloudrefine");
         flaky.iterations = 30;
-        let mut clean = flaky.clone();
-        clean.net_fault = None;
         let f = run_scenario(&flaky);
-        let c = run_scenario(&clean);
+        let c = run_scenario(&Layer::Network.clean_twin(&flaky));
         assert_eq!(f.iter_times.len(), 30, "chaos delays the app but never loses work");
-        let impact = network_impact(&f, &c);
         assert!(
-            impact.lost_copies + impact.retransmits + impact.duplicates_dropped > 0,
-            "flaky_cloud must damage some traffic: {impact:?}"
+            f.net.lost_copies + f.net.retransmits + f.net.duplicates_dropped > 0,
+            "flaky_cloud must damage some traffic: {:?}",
+            f.net
         );
-        assert!(impact.partition_s > 0.0);
+        assert!(f.net.partition_us > 0);
         // Chare conservation under chaos: same multiset of cores hosting
         // every chare exactly once.
         assert_eq!(f.final_mapping.len(), c.final_mapping.len());
@@ -660,20 +599,20 @@ mod tests {
     fn spot_storm_scenario_evacuates_and_reports_impact() {
         let mut storm = Scenario::spot_storm("jacobi2d", 8, "cloudrefine");
         storm.iterations = 30;
-        let mut clean = storm.clone();
-        clean.membership = None;
         let e = run_scenario(&storm);
-        let c = run_scenario(&clean);
+        let c = run_scenario(&Layer::Membership.clean_twin(&storm));
         assert_eq!(e.iter_times.len(), 30, "the storm is survivable");
-        let impact = elasticity_impact(&e, &c, &storm);
-        assert!(impact.notices >= 1, "{impact:?}");
-        assert!(impact.nodes_revoked >= 1);
-        assert_eq!(impact.acquisitions, 1);
-        assert_eq!(impact.warmups, 1);
-        assert!(impact.evacuations_attempted >= 1);
-        assert_eq!(impact.chares_rolled_back, 0, "notice lead covers the drain");
-        assert!(impact.capacity_avg_frac > 0.0 && impact.capacity_avg_frac <= 1.5);
-        assert!(impact.capacity_adjusted_penalty <= impact.penalty);
+        let el = e.elastic;
+        assert!(el.notices >= 1, "{el:?}");
+        assert!(el.nodes_revoked >= 1);
+        assert_eq!(el.acquisitions, 1);
+        assert_eq!(el.warmups, 1);
+        assert!(el.evacuations_attempted >= 1);
+        assert_eq!(el.chares_rolled_back, 0, "notice lead covers the drain");
+        let cap = storm.capacity_avg_frac();
+        assert!(cap > 0.0 && cap <= 1.5);
+        let imp = Impact::new(Layer::Membership, &storm, &e, &c);
+        assert!(imp.capacity_adjusted.expect("membership adjusts") <= imp.penalty);
         // The clean twin saw no churn at all.
         assert_eq!(c.elastic, cloudlb_runtime::ElasticStats::default());
     }
@@ -698,17 +637,14 @@ mod tests {
     fn failure_drill_survives_and_reports_impact() {
         let mut drill = Scenario::failure_drill("wave2d", 4, "cloudrefine");
         drill.iterations = 30;
-        let mut clean = drill.clone();
-        clean.fail.clear();
         let failed = try_run_scenario(&drill).expect("drill must be recoverable");
-        let base = run_scenario(&clean);
+        let base = run_scenario(&Layer::Failures.clean_twin(&drill));
         assert_eq!(failed.iter_times.len(), 30);
-        let impact = failure_impact(&failed, &base);
-        assert_eq!(impact.failures, 1);
-        assert_eq!(impact.recoveries, 1);
-        assert!(impact.replayed_iters > 0);
-        assert!(impact.recovery_time_s > 0.0);
-        assert!(impact.failure_penalty > 0.0, "losing a core must cost time");
+        assert_eq!(failed.failures, 1);
+        assert_eq!(failed.recoveries, 1);
+        assert!(failed.replayed_iters > 0);
+        assert!(failed.recovery_time.as_secs_f64() > 0.0);
+        assert!(failed.timing_penalty_vs(&base) > 0.0, "losing a core must cost time");
         // The dead core hosts nothing at the end.
         assert!(failed.final_mapping.iter().all(|&p| p != 3));
     }

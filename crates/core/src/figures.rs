@@ -96,22 +96,13 @@ pub fn eval_matrix(
     iterations: usize,
     seeds: &[u64],
 ) -> Vec<EvalPoint> {
-    eval_matrix_jobs(app, cores, iterations, seeds, crate::parallel::default_jobs())
+    let cells = matrix_cells(app, cores, iterations);
+    crate::experiment::evaluate_cells(&cells, seeds, crate::parallel::default_jobs())
 }
 
-/// [`eval_matrix`] with an explicit worker count.
-pub fn eval_matrix_jobs(
-    app: &str,
-    cores: &[usize],
-    iterations: usize,
-    seeds: &[u64],
-    jobs: usize,
-) -> Vec<EvalPoint> {
-    let cells: Vec<CellSpec> = cores
-        .iter()
-        .map(|&c| CellSpec::paper(app, c, iterations, "cloudrefine"))
-        .collect();
-    crate::experiment::evaluate_cells(&cells, seeds, jobs)
+/// One paper cell (`cloudrefine` balanced arm) per core count.
+fn matrix_cells(app: &str, cores: &[usize], iterations: usize) -> Vec<CellSpec> {
+    cores.iter().map(|&c| CellSpec::paper(app, c, iterations, "cloudrefine")).collect()
 }
 
 /// Online aggregate over a matrix's [`EvalPoint`]s: one
@@ -167,12 +158,12 @@ impl MatrixSummary {
     }
 }
 
-/// Memory-bounded variant of [`eval_matrix_jobs`]: stream the matrix
+/// Memory-bounded variant of [`eval_matrix`]: stream the matrix
 /// through the pipeline, fold every emitted [`EvalPoint`] into a
 /// [`MatrixSummary`], and pass each point to `consume` (e.g. to print a
 /// table row incrementally) instead of materializing the matrix. Points
 /// arrive in core-count order and are bit-identical to
-/// [`eval_matrix_jobs`]'s for any worker count.
+/// [`eval_matrix`]'s for any worker count.
 pub fn eval_matrix_stream<C>(
     app: &str,
     cores: &[usize],
@@ -184,10 +175,7 @@ pub fn eval_matrix_stream<C>(
 where
     C: FnMut(&EvalPoint),
 {
-    let cells: Vec<CellSpec> = cores
-        .iter()
-        .map(|&c| CellSpec::paper(app, c, iterations, "cloudrefine"))
-        .collect();
+    let cells = matrix_cells(app, cores, iterations);
     let mut summary = MatrixSummary::default();
     let stats =
         crate::experiment::evaluate_cells_stream(&cells, seeds, jobs, |_ci, point| {

@@ -26,9 +26,8 @@ pub mod scenario;
 pub mod stream_agg;
 
 pub use experiment::{
-    elasticity_impact, evaluate, evaluate_cells, evaluate_cells_stream, evaluate_jobs,
-    failure_impact, network_impact, run_scenario, try_run_scenario, CellSpec,
-    ElasticityImpact, EvalPoint, FailureImpact, NetworkImpact,
+    evaluate, evaluate_cells, evaluate_cells_stream, impacts, run_scenario, try_run_scenario,
+    CellSpec, EvalPoint, Impact, Layer,
 };
 pub use parallel::{default_jobs, par_map};
 pub use pipeline::{pipeline_map, pipeline_stream, PipelineConfig, PipelineStats};

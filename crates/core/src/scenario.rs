@@ -438,38 +438,15 @@ impl Scenario {
     /// floored at one core. The fuzzer's bounded-makespan oracle divides
     /// by this to price elastic capacity loss.
     pub fn capacity_avg_frac(&self) -> f64 {
-        // (instant, capacity delta in cores), fractions of base app time.
-        let mut deltas: Vec<(f64, f64)> = Vec::new();
-        let mut last = 0.0f64;
-        for spec in &self.fail {
-            let n = if spec.node { 4.0 } else { 1.0 };
-            deltas.push((spec.at_frac, -n));
-            last = last.max(spec.at_frac);
-            if let Some(r) = spec.restore_frac {
-                deltas.push((r, n));
-                last = last.max(r);
-            }
-        }
-        if let Some(m) = &self.membership {
-            for nt in &m.notices {
-                deltas.push((nt.at_frac, -4.0));
-                last = last.max(nt.at_frac + nt.lead_frac);
-            }
-            for acq in &m.acquisitions {
-                let ready = acq.at_frac + m.warmup_frac + m.warmup_jitter_frac;
-                deltas.push((ready, 4.0));
-                last = last.max(ready);
-            }
-        }
-        if deltas.is_empty() {
+        let (steps, last) = self.capacity_steps();
+        if steps.is_empty() {
             return 1.0;
         }
-        deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let horizon = last.max(1.0);
         let mut cap = self.cores as f64;
         let mut t = 0.0f64;
         let mut integral = 0.0f64;
-        for (at, d) in deltas {
+        for (at, d) in steps {
             let at = at.clamp(0.0, horizon);
             integral += cap.max(1.0) * (at - t);
             cap += d;
@@ -477,6 +454,41 @@ impl Scenario {
         }
         integral += cap.max(1.0) * (horizon - t);
         (integral / (self.cores as f64 * horizon)).max(1.0 / self.cores as f64)
+    }
+
+    /// The scheduled capacity trajectory shared by
+    /// [`Scenario::capacity_avg_frac`] and
+    /// [`Scenario::capacity_tracking_makespan`]: `(instant, ±cores)` steps
+    /// in fractions of the base app time, sorted by instant, plus the last
+    /// scheduled instant (a notice counts until its revocation). A failed
+    /// core/node drops at its kill and returns at its restore, a noticed
+    /// node drops at its notice, and an acquired node joins after its
+    /// worst-case warm-up (`at + warmup + jitter`).
+    fn capacity_steps(&self) -> (Vec<(f64, f64)>, f64) {
+        let mut steps: Vec<(f64, f64)> = Vec::new();
+        let mut last = 0.0f64;
+        for spec in &self.fail {
+            let n = if spec.node { 4.0 } else { 1.0 };
+            steps.push((spec.at_frac, -n));
+            last = last.max(spec.at_frac);
+            if let Some(r) = spec.restore_frac {
+                steps.push((r, n));
+                last = last.max(r);
+            }
+        }
+        if let Some(m) = &self.membership {
+            for nt in &m.notices {
+                steps.push((nt.at_frac, -4.0));
+                last = last.max(nt.at_frac + nt.lead_frac);
+            }
+            for acq in &m.acquisitions {
+                let ready = acq.at_frac + m.warmup_frac + m.warmup_jitter_frac;
+                steps.push((ready, 4.0));
+                last = last.max(ready);
+            }
+        }
+        steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        (steps, last)
     }
 
     /// Makespan of the *capacity-tracking clean twin*: a hypothetical run
@@ -491,29 +503,11 @@ impl Scenario {
     /// floored at one core, so this always terminates.
     pub fn capacity_tracking_makespan(&self, clean_s: f64, base_s: f64) -> f64 {
         let work = self.cores as f64 * clean_s.max(0.0);
-        let mut deltas: Vec<(f64, f64)> = Vec::new();
-        for spec in &self.fail {
-            let n = if spec.node { 4.0 } else { 1.0 };
-            deltas.push((spec.at_frac * base_s, -n));
-            if let Some(r) = spec.restore_frac {
-                deltas.push((r * base_s, n));
-            }
-        }
-        if let Some(m) = &self.membership {
-            for nt in &m.notices {
-                deltas.push((nt.at_frac * base_s, -4.0));
-            }
-            for acq in &m.acquisitions {
-                let ready = acq.at_frac + m.warmup_frac + m.warmup_jitter_frac;
-                deltas.push((ready * base_s, 4.0));
-            }
-        }
-        deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let mut cap = self.cores as f64;
         let mut t = 0.0f64;
         let mut done = 0.0f64;
-        for (at, d) in deltas {
-            let at = at.max(t);
+        for (at, d) in self.capacity_steps().0 {
+            let at = (at * base_s).max(t);
             let rate = cap.max(1.0);
             if done + rate * (at - t) >= work {
                 return t + (work - done) / rate;

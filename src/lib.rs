@@ -38,9 +38,7 @@ pub mod prelude {
     pub use cloudlb_apps::{Jacobi2D, Mol3D, Stencil3D, Wave2D};
     pub use cloudlb_balance::{CloudRefineLb, GreedyLb, LbStrategy, NoLb, RefineLb};
     pub use cloudlb_core::experiment::{
-        elasticity_impact, evaluate, failure_impact, network_impact, run_scenario,
-        telemetry_impact, try_run_scenario, ElasticityImpact, EvalPoint, FailureImpact,
-        NetworkImpact, TelemetryImpact,
+        evaluate, impacts, run_scenario, try_run_scenario, EvalPoint, Impact, Layer,
     };
     pub use cloudlb_core::figures;
     pub use cloudlb_core::scenario::{BgPattern, FailSpec, Scenario};

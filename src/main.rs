@@ -6,20 +6,20 @@
 //! cloudlb matrix --app mol3d [--fast] [--json]
 //! ```
 //!
-//! `run` executes one paper scenario (base + interfered) and reports the
-//! timing penalty, power and energy overhead; the `fig*` subcommands
+//! `run` executes one scenario (plus its interference-free base twin and
+//! one clean twin per active chaos layer) and reports the timing penalty,
+//! power, energy overhead and each layer's cost; the `fig*` subcommands
 //! regenerate the paper's figures; `matrix` prints both the Fig. 2 and
 //! Fig. 4 tables for one application.
 
-use cloudlb::core_api::experiment::{
-    elasticity_impact, evaluate_cells, failure_impact, network_impact, run_scenario,
-    telemetry_impact, try_run_scenario, CellSpec,
-};
+use cloudlb::balance::DecisionQuality;
 use cloudlb::core_api::default_jobs;
+use cloudlb::core_api::experiment::{impacts, run_scenario, try_run_scenario, Impact, Layer};
 use cloudlb::core_api::figures;
 use cloudlb::core_api::scenario::{BgPattern, FailSpec, Scenario};
-use cloudlb::runtime::FastForward;
-use cloudlb::sim::{MembershipSpec, NetFaultSpec, TelemetrySpec};
+use cloudlb::runtime::lbdb::WindowQuality;
+use cloudlb::runtime::{ElasticStats, FastForward, RuntimeError};
+use cloudlb::sim::{MembershipSpec, NetFaultSpec, NetStats, TelemetrySpec};
 use cloudlb::trace::profile::{render_profile, ProfileOptions};
 use cloudlb::trace::svg::{render_svg, SvgOptions};
 use cloudlb::trace::timeline::{render_ascii, TimelineOptions};
@@ -57,41 +57,7 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        "fig2" | "fig4" => {
-            if opts.stream_summary {
-                let mut table = if cmd == "fig2" {
-                    figures::fig2_table(&[])
-                } else {
-                    figures::fig4_table(&[])
-                };
-                let (summary, stats) = figures::eval_matrix_stream(
-                    &opts.app,
-                    &opts.cores_list(),
-                    opts.iters,
-                    &opts.seeds,
-                    default_jobs(),
-                    |p| {
-                        if cmd == "fig2" {
-                            figures::fig2_row(&mut table, p)
-                        } else {
-                            figures::fig4_row(&mut table, p)
-                        }
-                    },
-                );
-                print!("{}", table.markdown());
-                print_stream_summary(&summary, &stats);
-            } else {
-                let points =
-                    figures::eval_matrix(&opts.app, &opts.cores_list(), opts.iters, &opts.seeds);
-                let table = if cmd == "fig2" {
-                    figures::fig2_table(&points)
-                } else {
-                    figures::fig4_table(&points)
-                };
-                print!("{}", table.markdown());
-            }
-            ExitCode::SUCCESS
-        }
+        "fig2" | "fig4" | "matrix" => cmd_sweep(cmd, &opts),
         "fig3" => {
             let out = figures::fig3(60, 6);
             for (label, s) in &out.phases {
@@ -101,43 +67,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "trace" => cmd_trace(&opts),
-        "matrix" => {
-            if opts.stream_summary {
-                // Memory-bounded path: cells stream through the pipeline,
-                // table rows accumulate incrementally, and only online
-                // summaries survive the sweep — no Vec<EvalPoint>.
-                let mut t2 = figures::fig2_table(&[]);
-                let mut t4 = figures::fig4_table(&[]);
-                let (summary, stats) = figures::eval_matrix_stream(
-                    &opts.app,
-                    &opts.cores_list(),
-                    opts.iters,
-                    &opts.seeds,
-                    default_jobs(),
-                    |p| {
-                        figures::fig2_row(&mut t2, p);
-                        figures::fig4_row(&mut t4, p);
-                    },
-                );
-                println!("Fig. 2 ({})", opts.app);
-                print!("{}", t2.markdown());
-                println!("\nFig. 4 ({})", opts.app);
-                print!("{}", t4.markdown());
-                print_stream_summary(&summary, &stats);
-            } else {
-                let points =
-                    figures::eval_matrix(&opts.app, &opts.cores_list(), opts.iters, &opts.seeds);
-                if opts.json {
-                    println!("{}", serde_json_string(&points));
-                } else {
-                    println!("Fig. 2 ({})", opts.app);
-                    print!("{}", figures::fig2_table(&points).markdown());
-                    println!("\nFig. 4 ({})", opts.app);
-                    print!("{}", figures::fig4_table(&points).markdown());
-                }
-            }
-            ExitCode::SUCCESS
-        }
         other => {
             eprintln!("unknown command {other:?}\n\n{USAGE}");
             ExitCode::FAILURE
@@ -217,133 +146,215 @@ fn cmd_run(opts: &Opts) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let base = run_scenario(&scn.base_of());
-    let run = match try_run_scenario(&scn) {
+    let report = match RunReport::new(scn) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("run failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Under --json, stdout carries exactly one JSON document; the impact
-    // summaries below go to stderr so the output stays parseable.
-    let report = |line: String| {
-        if opts.json {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+    // Under --json, stdout carries exactly one JSON document and the
+    // human-readable lines go to stderr.
     if opts.json {
-        // Same paper cell as `evaluate`, but carrying the run's
-        // fast-forward mode so `--fast-forward off` shows in the record.
-        let mut cell = CellSpec::paper(&scn.app, scn.cores, scn.iterations, &scn.strategy);
-        cell.fast_forward = scn.fast_forward;
-        let p = evaluate_cells(std::slice::from_ref(&cell), &opts.seeds, default_jobs())
-            .pop()
-            .expect("one cell evaluated");
-        println!("{}", serde_json_string(&p));
+        eprint!("{}", report.text());
+        println!("{}", serde_json_string(&report));
     } else {
-        println!(
+        print!("{}", report.text());
+    }
+    ExitCode::SUCCESS
+}
+
+/// Everything `cloudlb run` reports about the one scenario it ran: text
+/// mode prints it as lines, `--json` serialises it as one document.
+#[derive(serde::Serialize)]
+struct RunReport {
+    /// The scenario that ran, after flag overrides.
+    scenario: Scenario,
+    /// App time of the interference-free base twin (s).
+    base_s: f64,
+    /// App time of the scenario (s).
+    run_s: f64,
+    /// Timing penalty against the base twin (fraction).
+    penalty: f64,
+    /// Energy overhead against the base twin (fraction).
+    energy_overhead: f64,
+    /// Average power per node over the run (W).
+    power_per_node_w: f64,
+    migrations: usize,
+    ff_windows: usize,
+    events_skipped: u64,
+    failures: usize,
+    recoveries: usize,
+    replayed_iters: usize,
+    recovery_time_s: f64,
+    telemetry: WindowQuality,
+    decisions: DecisionQuality,
+    net: NetStats,
+    elastic: ElasticStats,
+    /// One entry per active chaos layer, priced against its clean twin.
+    impacts: Vec<Impact>,
+}
+
+impl RunReport {
+    /// Run the base twin, the scenario and one clean twin per active layer.
+    fn new(scenario: Scenario) -> Result<RunReport, RuntimeError> {
+        let base = try_run_scenario(&scenario.base_of())?;
+        let run = try_run_scenario(&scenario)?;
+        let impacts = impacts(&scenario, &run)?;
+        Ok(RunReport {
+            base_s: base.app_time.as_secs_f64(),
+            run_s: run.app_time.as_secs_f64(),
+            penalty: run.timing_penalty_vs(&base),
+            energy_overhead: run.energy_overhead_vs(&base),
+            power_per_node_w: run.energy.avg_power_per_node_w,
+            migrations: run.migrations,
+            ff_windows: run.ff_windows,
+            events_skipped: run.events_skipped,
+            failures: run.failures,
+            recoveries: run.recoveries,
+            replayed_iters: run.replayed_iters,
+            recovery_time_s: run.recovery_time.as_secs_f64(),
+            telemetry: run.telemetry,
+            decisions: run.decisions,
+            net: run.net,
+            elastic: run.elastic,
+            impacts,
+            scenario,
+        })
+    }
+
+    /// The human-readable report: a headline, then one line for
+    /// fast-forward and one per priced layer when they apply.
+    fn text(&self) -> String {
+        let scn = &self.scenario;
+        let mut out = format!(
             "{} on {} cores, strategy {}: base {:.3} s, interfered {:.3} s \
-             (penalty {:.1} %), {} migrations, {:.1} W/node, energy overhead {:.1} %",
+             (penalty {:.1} %), {} migrations, {:.1} W/node, energy overhead {:.1} %\n",
             scn.app,
             scn.cores,
             scn.strategy,
-            base.app_time.as_secs_f64(),
-            run.app_time.as_secs_f64(),
-            run.timing_penalty_vs(&base) * 100.0,
-            run.migrations,
-            run.energy.avg_power_per_node_w,
-            run.energy_overhead_vs(&base) * 100.0,
+            self.base_s,
+            self.run_s,
+            self.penalty * 100.0,
+            self.migrations,
+            self.power_per_node_w,
+            self.energy_overhead * 100.0,
         );
+        if self.ff_windows > 0 {
+            out += &format!(
+                "fast-forwarded {}/{} iterations ({} windows, {} events skipped)\n",
+                self.ff_windows * scn.lb_period,
+                scn.iterations,
+                self.ff_windows,
+                self.events_skipped,
+            );
+        }
+        for imp in &self.impacts {
+            let penalty = imp.penalty * 100.0;
+            let line = match imp.layer {
+                Layer::Failures => format!(
+                    "failures: {} core(s) lost, {} recover{}, {} iteration(s) replayed, \
+                     {:.3} s recovering (failure penalty {penalty:.1} %)",
+                    self.failures,
+                    self.recoveries,
+                    if self.recoveries == 1 { "y" } else { "ies" },
+                    self.replayed_iters,
+                    self.recovery_time_s,
+                ),
+                Layer::Telemetry => format!(
+                    "telemetry: {} clamped O_p, {} stale window(s), {} task overrun(s), \
+                     {} implausible idle; {} migration(s) suppressed, {} oscillation(s) damped, \
+                     {} outlier(s) rejected; noise penalty {penalty:.1} %",
+                    self.telemetry.clamped_op,
+                    self.telemetry.missing_samples,
+                    self.telemetry.task_overrun,
+                    self.telemetry.implausible_idle,
+                    self.decisions.suppressed,
+                    self.decisions.oscillations,
+                    self.decisions.outliers_rejected,
+                ),
+                Layer::Network => format!(
+                    "network: {} cop(ies) lost, {} ghost retransmit(s), {} duplicate(s) dropped, \
+                     {} migration retr(ies), {} abort(s), {:.3} s partitioned \
+                     (network penalty {penalty:.1} %)",
+                    self.net.lost_copies,
+                    self.net.retransmits,
+                    self.net.duplicates_dropped,
+                    self.net.migration_retries,
+                    self.net.migration_aborts,
+                    self.net.partition_us as f64 / 1e6,
+                ),
+                Layer::Membership => {
+                    let e = &self.elastic;
+                    format!(
+                        "membership: {} notice(s), {} node(s) revoked, {} acquired ({} warmed up); \
+                         {}/{} evacuation(s) completed, {} chare(s) drained, {} rescued, \
+                         {} rolled back; penalty {penalty:.1} % ({:.1} % capacity-adjusted \
+                         at {:.0} % avg capacity)",
+                        e.notices,
+                        e.nodes_revoked,
+                        e.acquisitions,
+                        e.warmups,
+                        e.evacuations_completed,
+                        e.evacuations_attempted,
+                        e.chares_drained,
+                        e.chares_rescued,
+                        e.chares_rolled_back,
+                        imp.capacity_adjusted.expect("membership is capacity-adjusted") * 100.0,
+                        scn.capacity_avg_frac() * 100.0,
+                    )
+                }
+            };
+            out += &line;
+            out.push('\n');
+        }
+        out
     }
-    if run.ff_windows > 0 {
-        report(format!(
-            "fast-forwarded {}/{} iterations ({} windows, {} events skipped)",
-            run.ff_windows * scn.lb_period,
-            scn.iterations,
-            run.ff_windows,
-            run.events_skipped,
-        ));
+}
+
+/// `fig2`, `fig4` and `matrix`: stream the matrix through the pipeline,
+/// building table rows as cells finish. `--json` prints the points
+/// instead of the tables; `--stream-summary` adds the summary footer,
+/// which goes to stderr under `--json`.
+fn cmd_sweep(cmd: &str, opts: &Opts) -> ExitCode {
+    let mut t2 = (cmd != "fig4").then(|| figures::fig2_table(&[]));
+    let mut t4 = (cmd != "fig2").then(|| figures::fig4_table(&[]));
+    let mut points = Vec::new();
+    let (summary, stats) = figures::eval_matrix_stream(
+        &opts.app,
+        &opts.cores_list(),
+        opts.iters,
+        &opts.seeds,
+        default_jobs(),
+        |p| {
+            if opts.json {
+                points.push(p.clone());
+            }
+            if let Some(t) = &mut t2 {
+                figures::fig2_row(t, p);
+            }
+            if let Some(t) = &mut t4 {
+                figures::fig4_row(t, p);
+            }
+        },
+    );
+    if opts.json {
+        println!("{}", serde_json_string(&points));
+    } else if let (Some(t2), Some(t4)) = (&t2, &t4) {
+        println!("Fig. 2 ({})", opts.app);
+        print!("{}", t2.markdown());
+        println!("\nFig. 4 ({})", opts.app);
+        print!("{}", t4.markdown());
+    } else if let Some(t) = t2.or(t4) {
+        print!("{}", t.markdown());
     }
-    if run.failures > 0 {
-        // A failure-free twin isolates the cost of the injected failures
-        // from the cost of the interference.
-        let mut clean = scn.clone();
-        clean.fail.clear();
-        let imp = failure_impact(&run, &run_scenario(&clean));
-        report(format!(
-            "failures: {} core(s) lost, {} recover{}, {} iteration(s) replayed, \
-             {:.3} s recovering (failure penalty {:.1} %)",
-            imp.failures,
-            imp.recoveries,
-            if imp.recoveries == 1 { "y" } else { "ies" },
-            imp.replayed_iters,
-            imp.recovery_time_s,
-            imp.failure_penalty * 100.0,
-        ));
-    }
-    if scn.telemetry.is_some() {
-        // A clean-telemetry twin isolates what the corrupted counters cost.
-        let mut clean = scn.clone();
-        clean.telemetry = None;
-        let imp = telemetry_impact(&run, &run_scenario(&clean));
-        report(format!(
-            "telemetry: {} clamped O_p, {} stale window(s), {} task overrun(s), \
-             {} implausible idle; {} migration(s) suppressed, {} oscillation(s) damped, \
-             {} outlier(s) rejected; noise penalty {:.1} %",
-            imp.clamped_op,
-            imp.missing_samples,
-            imp.task_overrun,
-            imp.implausible_idle,
-            imp.suppressed,
-            imp.oscillations,
-            imp.outliers_rejected,
-            imp.noise_penalty * 100.0,
-        ));
-    }
-    if scn.net_fault.is_some() {
-        // A clean-network twin isolates what the flaky interconnect cost.
-        let mut clean = scn.clone();
-        clean.net_fault = None;
-        let imp = network_impact(&run, &run_scenario(&clean));
-        report(format!(
-            "network: {} cop(ies) lost, {} ghost retransmit(s), {} duplicate(s) dropped, \
-             {} migration retr(ies), {} abort(s), {:.3} s partitioned \
-             (network penalty {:.1} %)",
-            imp.lost_copies,
-            imp.retransmits,
-            imp.duplicates_dropped,
-            imp.migration_retries,
-            imp.migration_aborts,
-            imp.partition_s,
-            imp.net_penalty * 100.0,
-        ));
-    }
-    if scn.membership.as_ref().is_some_and(|m| m.is_active()) {
-        // A static-cluster twin isolates what membership churn cost beyond
-        // the capacity it took away.
-        let mut clean = scn.clone();
-        clean.membership = None;
-        let imp = elasticity_impact(&run, &run_scenario(&clean), &scn);
-        report(format!(
-            "membership: {} notice(s), {} node(s) revoked, {} acquired ({} warmed up); \
-             {}/{} evacuation(s) completed, {} chare(s) drained, {} rescued, {} rolled back; \
-             penalty {:.1} % ({:.1} % capacity-adjusted at {:.0} % avg capacity)",
-            imp.notices,
-            imp.nodes_revoked,
-            imp.acquisitions,
-            imp.warmups,
-            imp.evacuations_completed,
-            imp.evacuations_attempted,
-            imp.chares_drained,
-            imp.chares_rescued,
-            imp.chares_rolled_back,
-            imp.penalty * 100.0,
-            imp.capacity_adjusted_penalty * 100.0,
-            imp.capacity_avg_frac * 100.0,
-        ));
+    if opts.stream_summary {
+        let footer = stream_summary(&summary, &stats);
+        if opts.json {
+            eprint!("{footer}");
+        } else {
+            print!("{footer}");
+        }
     }
     ExitCode::SUCCESS
 }
@@ -354,12 +365,14 @@ fn serde_json_string<T: serde::Serialize>(value: &T) -> String {
 
 /// Footer for `--stream-summary` runs: the online metric summaries plus
 /// the pipeline's own counters.
-fn print_stream_summary(summary: &figures::MatrixSummary, stats: &cloudlb::core_api::PipelineStats) {
-    println!("\nstreaming summary");
-    print!("{}", summary.render());
-    println!(
-        "pipeline: {:.1} cells-arms/s, utilization {:.2}, reorder peak {}, \
-         live peak {} (bound {}), {} steals, {} injector claims",
+fn stream_summary(
+    summary: &figures::MatrixSummary,
+    stats: &cloudlb::core_api::PipelineStats,
+) -> String {
+    format!(
+        "\nstreaming summary\n{}pipeline: {:.1} cells-arms/s, utilization {:.2}, reorder peak {}, \
+         live peak {} (bound {}), {} steals, {} injector claims\n",
+        summary.render(),
         stats.packets_per_sec,
         stats.utilization,
         stats.reorder_peak,
@@ -367,7 +380,7 @@ fn print_stream_summary(summary: &figures::MatrixSummary, stats: &cloudlb::core_
         stats.window,
         stats.steals,
         stats.injector_claims,
-    );
+    )
 }
 
 const USAGE: &str = "usage:
@@ -379,19 +392,22 @@ const USAGE: &str = "usage:
   cloudlb run    --scenario <file.json> [--fail <spec>[,<spec>...]] [--json]
   cloudlb trace  --app <name> --cores <n> [--strategy <s>] [--iters <n>]
   cloudlb fig1 | fig3
-  cloudlb fig2 | fig4 [--app <name>] [--fast] [--jobs <n>] [--stream-summary]
+  cloudlb fig2 | fig4 [--app <name>] [--fast] [--json] [--jobs <n>] [--stream-summary]
   cloudlb matrix --app <name> [--fast] [--json] [--jobs <n>] [--stream-summary]
 
 --jobs <n> (or CLOUDLB_JOBS=<n>) spreads the sweep's independent runs over
 n worker threads; results are bit-identical to --jobs 1. Defaults to the
 machine's available parallelism.
 
---stream-summary runs the matrix through the streaming pipeline: cells are
-consumed as they finish (peak live runs is O(jobs + reorder window), not
-O(cells×seeds)) and an online count/mean/min/max/quantile summary per
-metric is printed after the tables, plus the pipeline's throughput,
-utilization and high-water marks. Tables stay bit-identical to the
-batch path.
+Sweeps stream through a pipeline: cells are consumed as they finish (peak
+live runs is O(jobs + reorder window), not O(cells×seeds)).
+--stream-summary prints an online count/mean/min/max/quantile summary per
+metric after the tables, plus the pipeline's throughput, utilization and
+high-water marks (to stderr under --json).
+
+run --json prints one JSON document: the scenario that ran, base and run
+times, penalty, energy overhead, power, the run's counters and one impact
+per active chaos layer; the text report goes to stderr.
 
 --fast-forward on|off|auto controls the steady-state macro-stepper: clean
 LB windows are replayed analytically instead of event by event, with

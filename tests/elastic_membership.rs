@@ -25,9 +25,7 @@ fn storm_scenario(seed: u64) -> Scenario {
 }
 
 fn clean_twin(seed: u64) -> Scenario {
-    let mut scn = storm_scenario(seed);
-    scn.membership = None;
-    scn
+    Layer::Membership.clean_twin(&storm_scenario(seed))
 }
 
 #[test]
@@ -58,17 +56,18 @@ fn capacity_adjusted_penalty_is_bounded_across_seeds() {
         let scn = storm_scenario(seed);
         let storm = run_scenario(&scn);
         let clean = run_scenario(&clean_twin(seed));
-        let imp = elasticity_impact(&storm, &clean, &scn);
+        let imp = Impact::new(Layer::Membership, &scn, &storm, &clean);
+        let adjusted = imp.capacity_adjusted.expect("membership is capacity-adjusted");
         eprintln!(
             "seed {seed}: penalty {:+.1} %, capacity-adjusted {:+.1} % at {:.0} % avg capacity",
             imp.penalty * 100.0,
-            imp.capacity_adjusted_penalty * 100.0,
-            imp.capacity_avg_frac * 100.0,
+            adjusted * 100.0,
+            scn.capacity_avg_frac() * 100.0,
         );
         assert!(
-            imp.capacity_adjusted_penalty <= 0.35,
+            adjusted <= 0.35,
             "seed {seed}: capacity-adjusted penalty {:.1} % exceeds 35 %",
-            imp.capacity_adjusted_penalty * 100.0,
+            adjusted * 100.0,
         );
         // The static twin saw no churn at all.
         assert_eq!(clean.elastic, ElasticStats::default(), "seed {seed}");
@@ -132,25 +131,6 @@ fn elastic_runs_are_bit_identical_per_seed() {
         let b = run_scenario(&storm_scenario(seed));
         assert_eq!(a, b, "seed {seed}: elastic rerun diverged");
     }
-}
-
-#[test]
-fn impact_report_matches_run_counters() {
-    let scn = storm_scenario(1);
-    let run = run_scenario(&scn);
-    let clean = run_scenario(&clean_twin(1));
-    let imp = elasticity_impact(&run, &clean, &scn);
-    assert_eq!(imp.notices, run.elastic.notices);
-    assert_eq!(imp.nodes_revoked, run.elastic.nodes_revoked);
-    assert_eq!(imp.acquisitions, run.elastic.acquisitions);
-    assert_eq!(imp.warmups, run.elastic.warmups);
-    assert_eq!(imp.evacuations_attempted, run.elastic.evacuations_attempted);
-    assert_eq!(imp.evacuations_completed, run.elastic.evacuations_completed);
-    assert_eq!(imp.chares_drained, run.elastic.chares_drained);
-    assert_eq!(imp.chares_rescued, run.elastic.chares_rescued);
-    assert_eq!(imp.chares_rolled_back, run.elastic.chares_rolled_back);
-    assert!((imp.penalty - run.timing_penalty_vs(&clean)).abs() < 1e-12);
-    assert!((imp.capacity_avg_frac - scn.capacity_avg_frac()).abs() < 1e-12);
 }
 
 #[test]

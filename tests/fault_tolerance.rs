@@ -5,7 +5,7 @@
 //! panic escapes to the caller.
 
 use cloudlb::apps::Wave2D;
-use cloudlb::core_api::{failure_impact, try_run_scenario, Scenario};
+use cloudlb::core_api::{try_run_scenario, Layer, Scenario};
 use cloudlb::prelude::*;
 use cloudlb::runtime::checkpoint::CheckpointPolicy;
 use cloudlb::runtime::thread_exec::{serial_reference, ThreadFault};
@@ -70,13 +70,11 @@ fn failure_drill_scenario_reports_recovery_cost() {
     let mut drill = Scenario::failure_drill("wave2d", 4, "cloudrefine");
     drill.iterations = 24;
     let failed = try_run_scenario(&drill).expect("drill is recoverable");
-    let mut clean = drill.clone();
-    clean.fail.clear();
-    let imp = failure_impact(&failed, &try_run_scenario(&clean).expect("failure-free twin"));
-    assert_eq!(imp.failures, 1);
-    assert_eq!(imp.recoveries, 1);
-    assert!(imp.recovery_time_s > 0.0);
-    assert!(imp.failure_penalty > 0.0);
+    let clean = try_run_scenario(&Layer::Failures.clean_twin(&drill)).expect("failure-free twin");
+    assert_eq!(failed.failures, 1);
+    assert_eq!(failed.recoveries, 1);
+    assert!(failed.recovery_time.as_secs_f64() > 0.0);
+    assert!(failed.timing_penalty_vs(&clean) > 0.0);
 }
 
 /// Every unrecoverable path is a typed error — nothing panics.

@@ -80,18 +80,3 @@ fn damage_is_reported_and_clean_runs_stay_clean() {
     let clean = run_with(1, false);
     assert_eq!(clean.net, NetStats::default(), "a clean network reports zero damage");
 }
-
-#[test]
-fn network_impact_summary_matches_the_counters() {
-    let mut scn = Scenario::flaky_cloud(APP, CORES, "cloudrefine");
-    scn.iterations = 40;
-    let mut clean = scn.clone();
-    clean.net_fault = None;
-    let f = run_scenario(&scn);
-    let c = run_scenario(&clean);
-    let imp = network_impact(&f, &c);
-    assert_eq!(imp.lost_copies, f.net.lost_copies);
-    assert_eq!(imp.migration_aborts, f.net.migration_aborts);
-    assert!(imp.partition_s > 0.0);
-    assert!((imp.net_penalty - f.timing_penalty_vs(&c)).abs() < 1e-12);
-}
