@@ -9,13 +9,24 @@
 //!
 //! * `schedule_pop` — interleaved schedule/pop churn at a steady queue
 //!   depth, the simulator's hot pattern;
-//! * `cancel_churn` — schedule + cancel + reschedule rounds, the wake
-//!   token pattern from `sim_exec`.
+//! * `cancel_churn` — schedule + cancel + reschedule rounds, the pattern
+//!   of any event that is withdrawn and re-issued.
 //!
-//! Results (ops/sec per workload plus the slab/HashMap speedup) are
-//! serialized to `BENCH_event_queue.json`.
+//! A third workload covers the executor's wake path:
+//!
+//! * `timer_churn` — move one pseudo-random key's timer, pop, list the
+//!   keys due at the popped instant and re-arm the fired key (the
+//!   executor's per-event wake pattern), over 64 keys. It runs once on the
+//!   queue's keyed timers and once encoded the way the executor kept its
+//!   wakes before timers existed (one cancellable event per key, moved by
+//!   cancel + schedule, mirrored in a `BTreeSet` of `(instant, key)` for
+//!   the due query); both must fire the same sequence.
+//!
+//! Results (ops/sec per workload plus the speedups) are serialized to
+//! `BENCH_event_queue.json`.
 
-use cloudlb_sim::{EventQueue, Time};
+use cloudlb_sim::{EventHandle, EventQueue, Popped, Time};
+use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -79,6 +90,9 @@ struct MicroRecord {
     slab_cancel_churn_ops_per_sec: f64,
     hashmap_cancel_churn_ops_per_sec: f64,
     cancel_churn_speedup: f64,
+    timer_churn_ops_per_sec: f64,
+    wake_event_churn_ops_per_sec: f64,
+    timer_churn_speedup: f64,
 }
 
 /// Deterministic pseudo-random delay stream (xorshift) — identical for
@@ -97,6 +111,14 @@ fn delays(n: usize) -> Vec<u64> {
 
 const DEPTH: usize = 64;
 
+/// The popped payload of a queue that only holds events.
+fn event<E>(popped: Popped<E>) -> E {
+    match popped {
+        Popped::Event(e) => e,
+        Popped::Timer(key) => unreachable!("no timers set, got key {key}"),
+    }
+}
+
 /// Interleaved schedule/pop at a steady depth; returns (ops, checksum).
 fn slab_schedule_pop(rounds: usize, ds: &[u64]) -> (usize, u64) {
     let mut q: EventQueue<u64> = EventQueue::new();
@@ -106,11 +128,12 @@ fn slab_schedule_pop(rounds: usize, ds: &[u64]) -> (usize, u64) {
     let mut sum = 0u64;
     for d in &ds[DEPTH..DEPTH + rounds] {
         let (t, v) = q.pop().expect("live event");
+        let v = event(v);
         sum = sum.wrapping_add(v);
         q.schedule(t + cloudlb_sim::Dur::from_us(*d), v);
     }
     while let Some((_, v)) = q.pop() {
-        sum = sum.wrapping_add(v);
+        sum = sum.wrapping_add(event(v));
     }
     (2 * rounds + 2 * DEPTH, sum)
 }
@@ -146,12 +169,12 @@ fn slab_cancel_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
         live += 1;
         if live > DEPTH {
             let (_, v) = q.pop().expect("live event");
-            sum = sum.wrapping_add(v);
+            sum = sum.wrapping_add(event(v));
             live -= 1;
         }
     }
     while let Some((_, v)) = q.pop() {
-        sum = sum.wrapping_add(v);
+        sum = sum.wrapping_add(event(v));
     }
     (3 * rounds, sum)
 }
@@ -174,6 +197,60 @@ fn hashmap_cancel_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
     }
     while let Some((_, v)) = q.pop() {
         sum = sum.wrapping_add(v);
+    }
+    (3 * rounds, sum)
+}
+
+/// Move one key's timer `d` µs past now, pop, list the due keys and
+/// re-arm the fired key, for every round; the checksum folds in each fired
+/// key and instant and the due count.
+fn timer_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let (mut sum, mut due) = (0u64, Vec::new());
+    for (i, d) in ds[..DEPTH].iter().enumerate() {
+        q.set_timer(i, Some(Time::from_us(*d)));
+    }
+    for d in &ds[DEPTH..DEPTH + rounds] {
+        let key = (*d as usize * 7) % DEPTH;
+        q.set_timer(key, Some(q.now() + cloudlb_sim::Dur::from_us(*d)));
+        let (t, Popped::Timer(k)) = q.pop().expect("pending timer") else { unreachable!() };
+        q.timers_due(t, &mut due);
+        sum = sum.wrapping_add(k as u64 ^ t.as_us()).wrapping_add(due.len() as u64);
+        q.set_timer(k, Some(t + cloudlb_sim::Dur::from_us(1 + d % 997)));
+    }
+    (3 * rounds, sum)
+}
+
+/// [`timer_churn`] with each timer encoded as a cancellable event plus a
+/// `BTreeSet` mirror.
+fn wake_event_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
+    let mut q: EventQueue<usize> = EventQueue::new();
+    let mut wake: Vec<Option<(EventHandle, Time)>> = vec![None; DEPTH];
+    let mut mirror: BTreeSet<(Time, usize)> = BTreeSet::new();
+    let mut sum = 0u64;
+    let mut set = |q: &mut EventQueue<usize>, mirror: &mut BTreeSet<_>, key: usize, at: Time| {
+        if let Some((h, old)) = wake[key] {
+            if old == at {
+                return;
+            }
+            q.cancel(h);
+            mirror.remove(&(old, key));
+        }
+        mirror.insert((at, key));
+        wake[key] = Some((q.schedule(at, key), at));
+    };
+    for (i, d) in ds[..DEPTH].iter().enumerate() {
+        set(&mut q, &mut mirror, i, Time::from_us(*d));
+    }
+    for d in &ds[DEPTH..DEPTH + rounds] {
+        let key = (*d as usize * 7) % DEPTH;
+        let at = q.now() + cloudlb_sim::Dur::from_us(*d);
+        set(&mut q, &mut mirror, key, at);
+        let (t, k) = q.pop().expect("pending wake");
+        let k = event(k);
+        let due = mirror.range(..=(t, usize::MAX)).count();
+        sum = sum.wrapping_add(k as u64 ^ t.as_us()).wrapping_add(due as u64);
+        set(&mut q, &mut mirror, k, t + cloudlb_sim::Dur::from_us(1 + d % 997));
     }
     (3 * rounds, sum)
 }
@@ -201,6 +278,10 @@ fn main() {
     let (hash_cc, c4) = measure(|| hashmap_cancel_churn(rounds, &ds));
     assert_eq!(c3, c4, "cancel-churn workloads must visit identical events");
 
+    let (timer_tc, c5) = measure(|| timer_churn(rounds, &ds));
+    let (wake_tc, c6) = measure(|| wake_event_churn(rounds, &ds));
+    assert_eq!(c5, c6, "timer-churn encodings must fire identical wakes");
+
     let record = MicroRecord {
         name: "event_queue".into(),
         rounds,
@@ -210,6 +291,9 @@ fn main() {
         slab_cancel_churn_ops_per_sec: slab_cc,
         hashmap_cancel_churn_ops_per_sec: hash_cc,
         cancel_churn_speedup: slab_cc / hash_cc,
+        timer_churn_ops_per_sec: timer_tc,
+        wake_event_churn_ops_per_sec: wake_tc,
+        timer_churn_speedup: timer_tc / wake_tc,
     };
     println!(
         "schedule/pop: slab {:.2} Mops/s vs hashmap {:.2} Mops/s ({:.2}x)",
@@ -222,6 +306,12 @@ fn main() {
         slab_cc / 1e6,
         hash_cc / 1e6,
         record.cancel_churn_speedup
+    );
+    println!(
+        "timer churn: timers {:.2} Mops/s vs wake events {:.2} Mops/s ({:.2}x)",
+        timer_tc / 1e6,
+        wake_tc / 1e6,
+        record.timer_churn_speedup
     );
     let path = cloudlb_bench::baseline::write_json("event_queue", &record);
     println!("wrote {}", path.display());

@@ -54,13 +54,15 @@ use cloudlb_sim::core_sched::CoreEvent;
 use cloudlb_sim::interference::{BgAction, BgLedger, BgScript};
 use cloudlb_sim::{
     Cluster, Dur, EventHandle, EventQueue, FailureAction, FailureScript, FaultyNetwork, FgLabel,
-    MembershipAction, MembershipScript, NetFaultSpec, ProcStat, TelemetryChannel, TelemetrySpec,
-    Time,
+    MembershipAction, MembershipScript, NetFaultSpec, Popped, ProcStat, TelemetryChannel,
+    TelemetrySpec, Time,
 };
 use cloudlb_trace::Activity;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// Events driving the simulation.
+/// Events driving the simulation. Besides these, each core has a wake
+/// timer in the queue (keyed by core index) set to its next completion
+/// instant.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A ghost message for `iter` arrives at `chare`. Stale epochs (sent
@@ -69,8 +71,6 @@ enum Ev {
     /// numbering suppresses it on arrival (it was already counted in
     /// [`cloudlb_sim::NetStats::duplicates_dropped`] when generated).
     Msg { chare: usize, iter: usize, epoch: u32, dup: bool },
-    /// Revisit a core because an entity completes there.
-    Wake,
     /// Apply an interference action.
     Bg(BgAction),
     /// The LB step (strategy + migrations) finished.
@@ -354,11 +354,6 @@ struct Sim<'a> {
     ready: Vec<VecDeque<usize>>,
     /// Per-core running task record.
     running: Vec<Option<Running>>,
-    /// Per-core pending Wake handle and its instant.
-    wake: Vec<Option<(EventHandle, Time)>>,
-    /// `(instant, core)` for every pending Wake, mirroring `wake`: the
-    /// cores due at an instant are a range query.
-    wake_due: BTreeSet<(Time, usize)>,
     /// Scratch for the cores due at the popped instant.
     due: Vec<usize>,
     /// Scratch for the cores the cluster advanced or mutated this event.
@@ -590,8 +585,6 @@ impl<'a> Sim<'a> {
             // sizing them up front keeps the steady state reallocation-free.
             ready: (0..pes).map(|_| VecDeque::with_capacity(n.div_ceil(pes) + 1)).collect(),
             running: vec![None; pes],
-            wake: vec![None; pes],
-            wake_due: BTreeSet::new(),
             due: Vec::new(),
             touched: Vec::with_capacity(pes),
             inbox_count: vec![0; 2 * n],
@@ -676,22 +669,21 @@ impl<'a> Sim<'a> {
         }
         for pe in 0..self.num_pes() {
             self.try_start(pe, Time::ZERO);
-            self.reschedule_wake(pe);
+            self.queue.set_timer(pe, self.cluster.next_completion(pe));
         }
         self.cluster.drain_touched(&mut self.touched);
 
         while !(self.app_end.is_some() && self.pending_bg == 0) {
-            let Some((t, ev)) = self.queue.pop() else {
+            let Some((t, popped)) = self.queue.pop() else {
                 return Err(RuntimeError::Deadlock {
                     app_done: self.app_end.is_some(),
                     pending_bg: self.pending_bg,
                 });
             };
             // Advance the cores due at `t` (plus those the cluster keeps
-            // eager); completions land exactly at `t` because wakes are
-            // kept in sync with composition changes.
-            self.due.clear();
-            self.due.extend(self.wake_due.range(..=(t, usize::MAX)).map(|&(_, core)| core));
+            // eager); completions land exactly at `t` because wake timers
+            // are kept in sync with composition changes.
+            self.queue.timers_due(t, &mut self.due);
             let mut completions = std::mem::take(&mut self.completions);
             self.cluster.advance_due_into(t, &self.due, &mut completions);
             for &(ct, ce) in &completions {
@@ -705,34 +697,38 @@ impl<'a> Sim<'a> {
                 }
             }
             self.completions = completions;
-            match ev {
-                Ev::Msg { dup: true, .. } => {} // duplicate copy: seq-suppressed
-                Ev::Msg { chare, iter, epoch, dup: false } if epoch == self.epoch => {
-                    self.on_msg(chare, iter, t)
+            // A wake timer's completions were handled above.
+            if let Popped::Event(ev) = popped {
+                match ev {
+                    Ev::Msg { dup: true, .. } => {} // duplicate copy: seq-suppressed
+                    Ev::Msg { chare, iter, epoch, dup: false } if epoch == self.epoch => {
+                        self.on_msg(chare, iter, t)
+                    }
+                    Ev::Msg { .. } => {} // stale: sent before a rollback
+                    Ev::Bg(action) => self.on_bg(action, t),
+                    Ev::LbDone { epoch } if epoch == self.epoch => self.on_lb_done(t),
+                    Ev::LbDone { .. } => {} // LB step interrupted by a failure
+                    Ev::Fail(action) => self.on_fail(action, t)?,
+                    Ev::Recovered { epoch } if epoch == self.epoch => self.on_recovered(t),
+                    Ev::Recovered { .. } => {} // superseded by a later failure
+                    Ev::Membership(action) => self.on_membership(action, t)?,
+                    Ev::Evac { chare, to, epoch } if epoch == self.epoch => {
+                        self.on_evac(chare, to, t)?
+                    }
+                    Ev::Evac { .. } => {} // cancelled by a rollback
                 }
-                Ev::Msg { .. } => {} // stale: sent before a rollback
-                Ev::Wake => {} // completions already handled above
-                Ev::Bg(action) => self.on_bg(action, t),
-                Ev::LbDone { epoch } if epoch == self.epoch => self.on_lb_done(t),
-                Ev::LbDone { .. } => {} // LB step interrupted by a failure
-                Ev::Fail(action) => self.on_fail(action, t)?,
-                Ev::Recovered { epoch } if epoch == self.epoch => self.on_recovered(t),
-                Ev::Recovered { .. } => {} // superseded by a later failure
-                Ev::Membership(action) => self.on_membership(action, t)?,
-                Ev::Evac { chare, to, epoch } if epoch == self.epoch => {
-                    self.on_evac(chare, to, t)?
-                }
-                Ev::Evac { .. } => {} // cancelled by a rollback
             }
-            // Refresh the wakes of the cores advanced or mutated, in
-            // ascending order. Every other core's next completion is
-            // unchanged, so refreshing it would touch no queue entry.
+            // Move the wakes of the cores whose next completion may have
+            // changed, in ascending order. Every other core's wake is
+            // already at its next completion.
             let mut touched = std::mem::take(&mut self.touched);
             self.cluster.drain_touched(&mut touched);
             for &core in &touched {
-                self.reschedule_wake(core);
+                self.queue.set_timer(core, self.cluster.next_completion(core));
             }
             self.touched = touched;
+            #[cfg(debug_assertions)]
+            self.check_wakes();
             // A window that ended at `t` closes its capture only now, so a
             // boundary ghost that popped at the same instant as the final
             // park has reached the inbox and the template sees it. The
@@ -777,6 +773,19 @@ impl<'a> Sim<'a> {
             events_skipped: self.events_skipped,
             elastic: self.elastic,
         })
+    }
+
+    /// Shadow check after every event (debug builds): each core's cached
+    /// next completion equals a fresh recompute, and its wake timer is set
+    /// to it — pending, unless the wake fired at that very instant and
+    /// nothing about the core changed since (such a core stays due).
+    #[cfg(debug_assertions)]
+    fn check_wakes(&self) {
+        for core in 0..self.num_pes() {
+            assert!(self.cluster.completion_cache_is_fresh(core), "core {core}: stale cache");
+            let next = self.cluster.next_completion(core);
+            assert_eq!(self.queue.timer(core), next, "core {core}: wake off its completion");
+        }
     }
 
     /// Start the next ready task on `pe` if the core is alive and free and
@@ -1722,6 +1731,9 @@ impl<'a> Sim<'a> {
     /// sequence order (so FIFO tie-breaks can be compared and replayed)
     /// plus the boundary-iteration inbox fingerprint, or `None`.
     fn ff_window_start(&self, now: Time, boundary: usize) -> Option<WindowStart> {
+        if self.queue.pending_timers().next().is_some() {
+            return None;
+        }
         let mut msgs: Vec<(u64, FfMsg)> = Vec::with_capacity(self.queue.len());
         for (_h, at, seq, ev) in self.queue.iter_live() {
             match *ev {
@@ -1802,9 +1814,11 @@ impl<'a> Sim<'a> {
         }
         // Classify what is pending at the barrier: next-boundary ghosts in
         // flight (replayed as fresh events), the LbDone just scheduled,
-        // and same-instant wakes that the dispatch epilogue is about to
-        // cancel (every core idles once all chares park). Anything else
-        // disqualifies the window.
+        // and same-instant wakes (every core idles once all chares park).
+        // Anything else disqualifies the window.
+        if self.queue.pending_timers().any(|(_, at)| at != now) {
+            return;
+        }
         let mut lb_done = 0usize;
         let mut msgs: Vec<(u64, FfMsg)> = Vec::new();
         for (_h, at, seq, ev) in self.queue.iter_live() {
@@ -1814,7 +1828,6 @@ impl<'a> Sim<'a> {
                 {
                     msgs.push((seq, FfMsg { rel: at.since(cap.started_at), chare }));
                 }
-                Ev::Wake if at == now => {}
                 Ev::LbDone { epoch } if epoch == self.epoch => lb_done += 1,
                 _ => return,
             }
@@ -1892,6 +1905,9 @@ impl<'a> Sim<'a> {
         let mut seqs = std::mem::take(&mut self.ff_seq_scratch);
         seqs.clear();
         let ok = 'scan: {
+            if self.queue.pending_timers().next().is_some() {
+                break 'scan false;
+            }
             for (_h, at, seq, ev) in self.queue.iter_live() {
                 match *ev {
                     Ev::Msg { chare, iter, epoch, dup: false }
@@ -1953,6 +1969,8 @@ impl<'a> Sim<'a> {
         // The in-flight boundary ghosts were verified against the
         // template; their delivery and consumption are baked into it, so
         // they are cancelled un-popped and credited via `events_skipped`.
+        // No wake is pending (`ff_window_start_matches`).
+        debug_assert!(self.queue.pending_timers().next().is_none());
         let live_before = self.queue.len();
         let stale: Vec<EventHandle> = self.queue.iter_live().map(|(h, ..)| h).collect();
         for h in stale {
@@ -2006,26 +2024,6 @@ impl<'a> Sim<'a> {
         // Account for the queue depth the skipped events would have
         // reached, so `peak_queue_depth` stays bit-identical.
         self.queue.raise_peak(live_before + t.peak_delta);
-    }
-
-    /// Keep exactly one pending Wake per core, at its next completion
-    /// instant. Skips queue churn when that instant is unchanged.
-    fn reschedule_wake(&mut self, core: usize) {
-        let next = self.cluster.next_completion(core);
-        match (self.wake[core], next) {
-            (Some((_, t_old)), Some(t_new)) if t_old == t_new => {}
-            (None, None) => {}
-            (old, new) => {
-                if let Some((h, t_old)) = old {
-                    self.queue.cancel(h);
-                    self.wake_due.remove(&(t_old, core));
-                }
-                if let Some(t) = new {
-                    self.wake_due.insert((t, core));
-                }
-                self.wake[core] = new.map(|t| (self.queue.schedule(t, Ev::Wake), t));
-            }
-        }
     }
 }
 

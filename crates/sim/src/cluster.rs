@@ -12,6 +12,11 @@
 //! segment. Sensitive cores (background hosts) are advanced at every step,
 //! and with tracing on every core is, so the results are bit-identical to
 //! advancing every core at every step.
+//!
+//! [`Cluster::drain_touched`] reports the cores whose next completion may
+//! have changed, so the executor moves only their wakes. An eager core that
+//! a step merely cut — it completed nothing, stayed sensitive and kept the
+//! next completion last reported — is left out.
 
 use crate::core_sched::{BgJobId, Core, CoreEvent, CoreStat, FgLabel};
 use crate::time::{Dur, Time};
@@ -66,10 +71,14 @@ pub struct Cluster {
     /// Segmentation-sensitive cores, ascending; a superset (until the next
     /// [`Cluster::drain_touched`]) of the cores that need eager advancing.
     eager: Vec<usize>,
-    /// Cores advanced or mutated since the last [`Cluster::drain_touched`].
+    /// Cores advanced or mutated since the last [`Cluster::drain_touched`],
+    /// except quiet eager cores (see [`Cluster::advance_due_into`]).
     touched: Vec<usize>,
     /// Membership flags for `touched`.
     touched_mark: Vec<bool>,
+    /// Each core's next completion when [`Cluster::drain_touched`] last
+    /// reported it (what the executor set its wake to).
+    reported_next: Vec<Option<Time>>,
 }
 
 impl Cluster {
@@ -86,6 +95,7 @@ impl Cluster {
             eager: Vec::new(),
             touched: Vec::new(),
             touched_mark: vec![false; n],
+            reported_next: vec![None; n],
         }
     }
 
@@ -136,6 +146,10 @@ impl Cluster {
     /// the ones [`Cluster::advance_into`] would collect, in the same order,
     /// into a caller-owned buffer (cleared first) that the per-event
     /// executor loop reuses.
+    ///
+    /// An eager core counts as touched only if the cut completed
+    /// something, left it insensitive, or moved its next completion off
+    /// the reported one; otherwise its wake is already right.
     pub fn advance_due_into(
         &mut self,
         to: Time,
@@ -152,7 +166,16 @@ impl Cluster {
             self.advance_core(core, events);
         }
         for i in 0..self.eager.len() {
-            self.advance_core(self.eager[i], events);
+            let core = self.eager[i];
+            let before = events.len();
+            let c = &mut self.cores[core];
+            c.advance(to, events, None);
+            if events.len() != before
+                || !c.segmentation_sensitive()
+                || c.next_completion() != self.reported_next[core]
+            {
+                self.touch(core);
+            }
         }
         Self::sort_completions(events);
     }
@@ -200,19 +223,26 @@ impl Cluster {
         }
     }
 
-    /// Move the cores advanced or mutated since the last call into `out`
-    /// (cleared first), in ascending order. These are the only cores whose
-    /// next completion can have changed. Cores that stopped being
-    /// segmentation-sensitive leave the eager set here.
+    /// Move the cores touched since the last call into `out` (cleared
+    /// first), in ascending order, and record their next completions.
+    /// These are the only cores whose next completion can differ from the
+    /// one last reported. Cores that stopped being segmentation-sensitive
+    /// leave the eager set here.
     pub fn drain_touched(&mut self, out: &mut Vec<usize>) {
         out.clear();
         std::mem::swap(out, &mut self.touched);
         out.sort_unstable();
+        let mut left_eager = false;
         for &core in out.iter() {
             self.touched_mark[core] = false;
+            let c = &self.cores[core];
+            self.reported_next[core] = c.next_completion();
+            left_eager |= !c.segmentation_sensitive() && self.eager.binary_search(&core).is_ok();
         }
-        let cores = &self.cores;
-        self.eager.retain(|&c| cores[c].segmentation_sensitive());
+        if left_eager {
+            let cores = &self.cores;
+            self.eager.retain(|&c| cores[c].segmentation_sensitive());
+        }
     }
 
     /// Begin a foreground task on `core` (see [`Core::start_fg`]).
@@ -267,6 +297,12 @@ impl Cluster {
     /// Earliest completion on `core` under the current composition.
     pub fn next_completion(&self, core: usize) -> Option<Time> {
         self.cores[core].next_completion()
+    }
+
+    /// `true` when `core`'s cached next completion equals a fresh
+    /// recompute (see `Core::cache_is_fresh`).
+    pub fn completion_cache_is_fresh(&self, core: usize) -> bool {
+        self.cores[core].cache_is_fresh()
     }
 
     /// `/proc/stat` snapshot for one core at the current instant (a

@@ -20,7 +20,7 @@
 //!   genuinely idle time. The runtime derives the paper's `O_p` (Eq. 2)
 //!   from these.
 
-use crate::time::{Dur, Time};
+use crate::time::{ceil_u64, has_fraction, round_u64, Dur, Time};
 use cloudlb_trace::{Activity, TraceLog};
 use serde::{Deserialize, Serialize};
 
@@ -101,6 +101,10 @@ pub struct Core {
     stat: CoreStat,
     /// Sub-microsecond accounting residue folded into idle.
     dust_us: f64,
+    /// Sum of the runnable weights, cached by [`Core::refresh`].
+    total_w: f64,
+    /// [`Core::next_completion`], cached by [`Core::refresh`].
+    next: Option<Time>,
 }
 
 /// Completions shorter than this are treated as immediate (guards against
@@ -110,7 +114,16 @@ const EPS_US: f64 = 1e-6;
 impl Core {
     /// Fresh idle core.
     pub fn new(index: usize) -> Self {
-        Core { index, fg: None, bg: Vec::new(), last: Time::ZERO, stat: CoreStat::default(), dust_us: 0.0 }
+        Core {
+            index,
+            fg: None,
+            bg: Vec::new(),
+            last: Time::ZERO,
+            stat: CoreStat::default(),
+            dust_us: 0.0,
+            total_w: 0.0,
+            next: None,
+        }
     }
 
     /// Core index within the cluster.
@@ -160,7 +173,7 @@ impl Core {
     /// lazily.
     pub fn segmentation_sensitive(&self) -> bool {
         !self.bg.is_empty()
-            || self.fg.as_ref().is_some_and(|f| f.weight != 1.0 || f.remaining_us.fract() != 0.0)
+            || self.fg.as_ref().is_some_and(|f| f.weight != 1.0 || has_fraction(f.remaining_us))
     }
 
     /// The instant up to which this core's accounting is complete.
@@ -191,6 +204,7 @@ impl Core {
         assert!(self.fg.is_none(), "core {} fg already busy", self.index);
         assert!(weight > 0.0, "non-positive fg weight");
         self.fg = Some(FgRun { label, weight, remaining_us: demand.as_us() as f64 });
+        self.refresh();
     }
 
     /// Add a background task. `demand = None` runs until removed.
@@ -202,19 +216,24 @@ impl Core {
             remaining_us: demand.map_or(f64::INFINITY, |d| d.as_us() as f64),
             consumed_us: 0.0,
         });
+        self.refresh();
     }
 
     /// Abort the running foreground task (PE failure): the partially
     /// executed work is lost. Returns its label if one was running.
     pub fn abort_fg(&mut self) -> Option<FgLabel> {
-        self.fg.take().map(|f| f.label)
+        let aborted = self.fg.take().map(|f| f.label);
+        self.refresh();
+        aborted
     }
 
     /// Drop every background task (the core died under them). Returns each
     /// evicted job with whether its demand was finite (finite tasks were
     /// still owed a completion event).
     pub fn clear_bg(&mut self) -> Vec<(BgJobId, bool)> {
-        self.bg.drain(..).map(|b| (b.job, b.remaining_us.is_finite())).collect()
+        let evicted = self.bg.drain(..).map(|b| (b.job, b.remaining_us.is_finite())).collect();
+        self.refresh();
+        evicted
     }
 
     /// Remove every background task of `job`; returns CPU it consumed here.
@@ -228,7 +247,8 @@ impl Core {
                 true
             }
         });
-        Dur::from_us(consumed.round() as u64)
+        self.refresh();
+        Dur::from_us(round_u64(consumed))
     }
 
     fn total_weight(&self) -> f64 {
@@ -238,9 +258,27 @@ impl Core {
 
     /// Earliest future instant at which a runnable entity completes its
     /// demand, given the *current* composition. `None` if nothing finite is
-    /// runnable.
+    /// runnable. Cached: every composition change and every cut refreshes
+    /// it.
     pub fn next_completion(&self) -> Option<Time> {
+        self.next
+    }
+
+    /// Recompute the cached total weight and next completion from the
+    /// current composition, remaining demands and `last`.
+    fn refresh(&mut self) {
+        self.total_w = self.total_weight();
+        self.next = self.completion_under(self.total_w);
+    }
+
+    /// `true` when the cached total weight and next completion equal a
+    /// fresh recompute (the executor's debug-build shadow check).
+    pub(crate) fn cache_is_fresh(&self) -> bool {
         let total_w = self.total_weight();
+        total_w.to_bits() == self.total_w.to_bits() && self.completion_under(total_w) == self.next
+    }
+
+    fn completion_under(&self, total_w: f64) -> Option<Time> {
         if total_w <= 0.0 {
             return None;
         }
@@ -255,27 +293,30 @@ impl Core {
                 best = Some(best.map_or(dt, |x: f64| x.min(dt)));
             }
         }
-        best.map(|dt| self.last + Dur::from_us(dt.ceil().max(0.0) as u64))
+        best.map(|dt| self.last + Dur::from_us(ceil_u64(dt)))
     }
 
-    /// Emit completions for entities that are already done at the current
-    /// instant (zero-demand tasks, or demand exhausted exactly at `last`).
-    fn reap_completed(&mut self, events: &mut Vec<(Time, CoreEvent)>) {
-        if let Some(fg) = &self.fg {
-            if fg.remaining_us <= EPS_US {
-                events.push((self.last, CoreEvent::FgDone { core: self.index }));
-                self.fg = None;
-            }
+    /// Emit completions, stamped `last`, for entities whose demand is
+    /// exhausted (zero-demand tasks, or demand used up by the segment that
+    /// ended at `last`). Returns `true` if anything completed.
+    fn reap_completed(&mut self, events: &mut Vec<(Time, CoreEvent)>) -> bool {
+        let before = events.len();
+        if self.fg.as_ref().is_some_and(|fg| fg.remaining_us <= EPS_US) {
+            events.push((self.last, CoreEvent::FgDone { core: self.index }));
+            self.fg = None;
         }
-        let (idx, last) = (self.index, self.last);
-        self.bg.retain(|b| {
-            if b.remaining_us <= EPS_US {
-                events.push((last, CoreEvent::BgDone { core: idx, job: b.job }));
-                false
-            } else {
-                true
-            }
-        });
+        if self.bg.iter().any(|b| b.remaining_us <= EPS_US) {
+            let (idx, last) = (self.index, self.last);
+            self.bg.retain(|b| {
+                if b.remaining_us <= EPS_US {
+                    events.push((last, CoreEvent::BgDone { core: idx, job: b.job }));
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        events.len() != before
     }
 
     /// Fast-forward support: jump accounting to `to` in one step, crediting
@@ -302,6 +343,7 @@ impl Core {
         self.stat.bg_us += delta.bg_us;
         self.stat.idle_us += delta.idle_us;
         self.last = to;
+        self.refresh();
     }
 
     /// Advance accounting to `to`, distributing CPU by weight and emitting
@@ -316,9 +358,11 @@ impl Core {
         // Entities that are complete at entry (e.g. zero-demand tasks
         // started since the last advance) must be reaped even when
         // `to == last` and the loop below does not run.
-        self.reap_completed(events);
+        if self.reap_completed(events) {
+            self.refresh();
+        }
         while self.last < to {
-            let total_w = self.total_weight();
+            let total_w = self.total_w;
             if total_w <= 0.0 {
                 // Nothing runnable: idle to `to`.
                 let wall = (to - self.last).as_us();
@@ -331,7 +375,7 @@ impl Core {
             }
 
             // Find the earliest internal completion.
-            let seg_end = match self.next_completion() {
+            let seg_end = match self.next {
                 Some(c) if c < to => c,
                 _ => to,
             };
@@ -344,7 +388,7 @@ impl Core {
                 let used = share.min(fg.remaining_us);
                 fg.remaining_us -= used;
                 delivered += used;
-                self.stat.fg_us += used.round() as u64;
+                self.stat.fg_us += round_u64(used);
             }
             for b in &mut self.bg {
                 let share = wall_us * b.weight / total_w;
@@ -352,14 +396,16 @@ impl Core {
                 b.remaining_us -= used;
                 b.consumed_us += used;
                 delivered += used;
-                self.stat.bg_us += used.round() as u64;
+                self.stat.bg_us += round_u64(used);
             }
             // Rounding dust: fold into idle once it exceeds a microsecond.
+            // Dust is finite and far below 2^63 µs, where truncation is
+            // `floor` without the library call.
             self.dust_us += wall_us - delivered;
             if self.dust_us >= 1.0 {
-                let whole = self.dust_us.floor();
-                self.stat.idle_us += whole as u64;
-                self.dust_us -= whole;
+                let whole = self.dust_us as u64;
+                self.stat.idle_us += whole;
+                self.dust_us -= whole as f64;
             }
 
             // Trace: the wall extent belongs to the foreground task if one
@@ -383,24 +429,19 @@ impl Core {
             }
 
             self.last = seg_end;
-
-            // Emit completions.
-            if let Some(fg) = &self.fg {
-                if fg.remaining_us <= EPS_US {
-                    events.push((seg_end, CoreEvent::FgDone { core: self.index }));
-                    self.fg = None;
-                }
-            }
-            let idx = self.index;
-            self.bg.retain(|b| {
-                if b.remaining_us <= EPS_US {
-                    events.push((seg_end, CoreEvent::BgDone { core: idx, job: b.job }));
-                    false
-                } else {
-                    true
-                }
-            });
+            self.reap_completed(events);
+            self.refresh();
         }
+    }
+}
+
+#[cfg(test)]
+impl Core {
+    /// Overwrite the foreground's remaining demand, keeping the cache
+    /// fresh (tests only: real residues come from GPS sharing).
+    fn set_fg_remaining(&mut self, us: f64) {
+        self.fg.as_mut().expect("fg running").remaining_us = us;
+        self.refresh();
     }
 }
 
@@ -660,7 +701,7 @@ mod tests {
         // core must be advanced eagerly.
         let mut c = Core::new(0);
         c.start_fg(FgLabel { chare: 0 }, Dur::from_us(5), 1.0);
-        c.fg.as_mut().unwrap().remaining_us = 5.0 + 5e-7;
+        c.set_fg_remaining(5.0 + 5e-7);
         assert!(c.segmentation_sensitive());
         let mut cut = c.clone();
         advance_collect(&mut cut, Time::from_us(5));

@@ -15,8 +15,21 @@
 //! node carries its slot index; cancellation empties the slot and leaves
 //! the heap node behind to be skipped lazily on pop. When stale nodes
 //! outnumber live events the heap is compacted in one O(n) pass, so
-//! cancel-heavy workloads (e.g. the per-core wake-reschedule pattern) keep
-//! the heap proportional to the live event count.
+//! cancel-heavy workloads keep the heap proportional to the live event
+//! count.
+//!
+//! # Timers
+//!
+//! Besides payload events the queue holds at most one *timer* per key
+//! (the executor keys them by core: "this core completes something at
+//! `t`"). Pending timers live in an indexed min-heap, so moving one is a
+//! sift in place — no cancel tombstone, no slab slot, no handle. Setting a
+//! timer takes the next sequence number exactly as scheduling an event
+//! does, and [`EventQueue::pop`] fires events and timers together in one
+//! `(time, seq)` order; the counters (`len`, `total_popped`, the peaks)
+//! count a pending timer as one event. A timer that fired keeps its
+//! instant until it is set to another one, and stays *due*
+//! ([`EventQueue::timers_due`]) until then.
 
 use crate::time::Time;
 use std::cmp::Reverse;
@@ -43,6 +56,33 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
+/// What [`EventQueue::pop`] fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Popped<E> {
+    /// A payload event.
+    Event(E),
+    /// The timer of this key.
+    Timer(usize),
+}
+
+/// Where a key's timer is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TimerState {
+    /// Not set.
+    Clear,
+    /// Pending, at this position of the timer heap.
+    Pending(u32),
+    /// Fired and not set since, at this position of the fired list.
+    Fired(u32),
+}
+
+/// A key's timer: its state and the instant it is set to.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    state: TimerState,
+    at: Time,
+}
+
 /// Deterministic event queue with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
@@ -61,6 +101,13 @@ pub struct EventQueue<E> {
     peak_live: usize,
     /// High-water mark of live events since the last [`EventQueue::mark_window`].
     window_peak: usize,
+    /// Min-heap of pending timers as `(time, seq, key)`, indexed by the
+    /// keys' [`TimerState::Pending`] positions.
+    timer_heap: Vec<(Time, u64, u32)>,
+    /// Per key.
+    timers: Vec<Timer>,
+    /// Keys whose timer fired and has not been set since.
+    fired: Vec<u32>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -83,6 +130,9 @@ impl<E> EventQueue<E> {
             popped: 0,
             peak_live: 0,
             window_peak: 0,
+            timer_heap: Vec::new(),
+            timers: Vec::new(),
+            fired: Vec::new(),
         }
     }
 
@@ -97,8 +147,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Time, payload: E) -> EventHandle {
         debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Slot { seq, at, payload: Some(payload) };
@@ -110,11 +159,143 @@ impl<E> EventQueue<E> {
             }
         };
         self.heap.push(Reverse((at, seq, slot)));
+        self.count_scheduled();
+        EventHandle { slot, seq }
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    fn count_scheduled(&mut self) {
         self.live += 1;
         self.scheduled += 1;
         self.peak_live = self.peak_live.max(self.live);
         self.window_peak = self.window_peak.max(self.live);
-        EventHandle { slot, seq }
+    }
+
+    /// Set `key`'s timer to fire at `at`, or clear it with `None`. Setting
+    /// the instant it already holds (pending or fired) is a no-op;
+    /// otherwise a pending timer is withdrawn and the new one takes the
+    /// next sequence number, as a cancel followed by a `schedule` would.
+    /// Like [`EventQueue::schedule`], an instant before `now` is a logic
+    /// error (debug) and fires at `now` (release).
+    pub fn set_timer(&mut self, key: usize, at: Option<Time>) {
+        if key >= self.timers.len() {
+            self.timers.resize(key + 1, Timer { state: TimerState::Clear, at: Time::ZERO });
+        }
+        if self.timer(key) == at {
+            return;
+        }
+        match self.timers[key].state {
+            TimerState::Clear => {}
+            TimerState::Pending(pos) => {
+                self.remove_pending(pos as usize);
+                self.live -= 1;
+            }
+            TimerState::Fired(idx) => {
+                self.fired.swap_remove(idx as usize);
+                if let Some(&moved) = self.fired.get(idx as usize) {
+                    self.timers[moved as usize].state = TimerState::Fired(idx);
+                }
+            }
+        }
+        self.timers[key].state = TimerState::Clear;
+        if let Some(at) = at {
+            debug_assert!(at >= self.now, "timer in the past: {at:?} < {:?}", self.now);
+            let seq = self.take_seq();
+            self.timers[key].at = at;
+            self.timer_heap.push((at.max(self.now), seq, key as u32));
+            self.sift_up(self.timer_heap.len() - 1);
+            self.count_scheduled();
+        }
+    }
+
+    /// The instant `key`'s timer is set to, pending or fired.
+    pub fn timer(&self, key: usize) -> Option<Time> {
+        let timer = self.timers.get(key)?;
+        (timer.state != TimerState::Clear).then_some(timer.at)
+    }
+
+    /// Keys whose timer is due at `t` into `out` (cleared first), in no
+    /// particular order: every fired timer, and every pending one at or
+    /// before `t`.
+    pub fn timers_due(&self, t: Time, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.fired.iter().map(|&k| k as usize));
+        self.collect_due(0, t, out);
+    }
+
+    fn collect_due(&self, pos: usize, t: Time, out: &mut Vec<usize>) {
+        if let Some(&(at, _, key)) = self.timer_heap.get(pos) {
+            if at <= t {
+                out.push(key as usize);
+                self.collect_due(2 * pos + 1, t, out);
+                self.collect_due(2 * pos + 2, t, out);
+            }
+        }
+    }
+
+    /// Every pending timer as `(key, time)`, in no particular order.
+    pub fn pending_timers(&self) -> impl Iterator<Item = (usize, Time)> + '_ {
+        self.timer_heap.iter().map(|&(at, _, key)| (key as usize, at))
+    }
+
+    /// Take the pending timer at heap position `pos` out of the heap; its
+    /// key's state is left for the caller to set.
+    fn remove_pending(&mut self, pos: usize) {
+        self.timer_heap.swap_remove(pos);
+        if pos < self.timer_heap.len() {
+            let pos = self.sift_up(pos);
+            self.sift_down(pos);
+        }
+    }
+
+    /// Place the node at `pos` (whose key's position may be stale) where
+    /// it belongs at or above `pos`; returns where it landed.
+    fn sift_up(&mut self, mut pos: usize) -> usize {
+        let node = self.timer_heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let up = self.timer_heap[parent];
+            if (up.0, up.1) <= (node.0, node.1) {
+                break;
+            }
+            self.place(pos, up);
+            pos = parent;
+        }
+        self.place(pos, node);
+        pos
+    }
+
+    /// Place the node at `pos` where it belongs at or below `pos`.
+    fn sift_down(&mut self, mut pos: usize) {
+        let node = self.timer_heap[pos];
+        let len = self.timer_heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            let (l, r) = (self.timer_heap[child], self.timer_heap.get(child + 1));
+            if r.is_some_and(|r| (r.0, r.1) < (l.0, l.1)) {
+                child += 1;
+            }
+            let down = self.timer_heap[child];
+            if (node.0, node.1) <= (down.0, down.1) {
+                break;
+            }
+            self.place(pos, down);
+            pos = child;
+        }
+        self.place(pos, node);
+    }
+
+    fn place(&mut self, pos: usize, node: (Time, u64, u32)) {
+        self.timer_heap[pos] = node;
+        self.timers[node.2 as usize].state = TimerState::Pending(pos as u32);
     }
 
     /// Cancel a previously scheduled event by the handle `schedule`
@@ -133,39 +314,58 @@ impl<E> EventQueue<E> {
         Some(payload)
     }
 
-    /// Pop the earliest pending event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(Reverse((at, seq, slot))) = self.heap.pop() {
-            let entry = &mut self.slots[slot as usize];
-            if entry.seq != seq {
-                continue; // cancelled and recycled: stale heap node
+    /// Pop the earliest pending event or timer, advancing the clock to its
+    /// timestamp. A popped timer stays set, as fired (see
+    /// [`EventQueue::timers_due`]).
+    pub fn pop(&mut self) -> Option<(Time, Popped<E>)> {
+        let event = self.peek_event();
+        let timer = self.timer_heap.first().map(|&(at, seq, _)| (at, seq));
+        let (at, popped) = match (event, timer) {
+            (None, None) => return None,
+            (Some(e), Some(t)) if t < e => self.pop_timer(),
+            (None, Some(_)) => self.pop_timer(),
+            _ => {
+                let Some(Reverse((at, _, slot))) = self.heap.pop() else { unreachable!() };
+                let payload = self.slots[slot as usize].payload.take().expect("live slot");
+                self.free.push(slot);
+                (at, Popped::Event(payload))
             }
-            let Some(payload) = entry.payload.take() else {
-                continue; // cancelled, slot not yet recycled
-            };
-            debug_assert_eq!(entry.at, at);
-            self.free.push(slot);
-            self.live -= 1;
-            self.popped += 1;
-            self.now = at;
-            return Some((at, payload));
-        }
-        None
+        };
+        self.live -= 1;
+        self.popped += 1;
+        self.now = at;
+        Some((at, popped))
     }
 
-    /// Timestamp of the earliest pending event without popping it.
-    pub fn peek_time(&mut self) -> Option<Time> {
+    fn pop_timer(&mut self) -> (Time, Popped<E>) {
+        let (at, _, key) = self.timer_heap[0];
+        self.remove_pending(0);
+        self.timers[key as usize].state = TimerState::Fired(self.fired.len() as u32);
+        self.fired.push(key);
+        (at, Popped::Timer(key as usize))
+    }
+
+    /// `(time, seq)` of the earliest live payload event, discarding the
+    /// stale (cancelled) heap nodes above it.
+    fn peek_event(&mut self) -> Option<(Time, u64)> {
         while let Some(&Reverse((at, seq, slot))) = self.heap.peek() {
             let entry = &self.slots[slot as usize];
             if entry.seq == seq && entry.payload.is_some() {
-                return Some(at);
+                return Some((at, seq));
             }
             self.heap.pop();
         }
         None
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Timestamp of the earliest pending event or timer without popping it.
+    pub fn peek_time(&mut self) -> Option<Time> {
+        let event = self.peek_event().map(|(at, _)| at);
+        let timer = self.timer_heap.first().map(|&(at, ..)| at);
+        event.into_iter().chain(timer).min()
+    }
+
+    /// Number of live (non-cancelled) pending events and timers.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -213,9 +413,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Iterate over every live (scheduled, not yet popped or cancelled)
-    /// event as `(handle, time, seq, payload)`, in slab order — *not* pop
-    /// order; sort by `seq` for FIFO-consistent views. The handle can be
-    /// passed to [`EventQueue::cancel`].
+    /// payload event as `(handle, time, seq, payload)`, in slab order —
+    /// *not* pop order; sort by `seq` for FIFO-consistent views. The handle
+    /// can be passed to [`EventQueue::cancel`]. Timers are not included
+    /// (see [`EventQueue::pending_timers`]).
     pub fn iter_live(&self) -> impl Iterator<Item = (EventHandle, Time, u64, &E)> + '_ {
         self.slots.iter().enumerate().filter_map(|(slot, s)| {
             s.payload
@@ -224,7 +425,7 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Heap nodes currently allocated, live *and* stale. Exposed so the
+    /// Event-heap nodes currently allocated, live *and* stale. Exposed so the
     /// compaction regression test can assert cancel churn stays bounded.
     pub fn heap_len(&self) -> usize {
         self.heap.len()
@@ -234,7 +435,8 @@ impl<E> EventQueue<E> {
     /// events. Amortized O(1) per cancel: a rebuild costs O(n) and at
     /// least n/2 cancels must happen before the next one.
     fn maybe_compact(&mut self) {
-        if self.heap.len() > 16 && self.heap.len() - self.live > self.live {
+        let events = self.live - self.timer_heap.len();
+        if self.heap.len() > 16 && self.heap.len() - events > events {
             let slots = &self.slots;
             self.heap.retain(|&Reverse((_, seq, slot))| {
                 let s = &slots[slot as usize];
@@ -249,15 +451,22 @@ mod tests {
     use super::*;
     use crate::time::Dur;
 
+    fn pop_event<E: std::fmt::Debug>(q: &mut EventQueue<E>) -> E {
+        match q.pop() {
+            Some((_, Popped::Event(e))) => e,
+            other => panic!("expected an event, got {other:?}"),
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(Time::from_us(30), "c");
         q.schedule(Time::from_us(10), "a");
         q.schedule(Time::from_us(20), "b");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!(pop_event(&mut q), "a");
+        assert_eq!(pop_event(&mut q), "b");
+        assert_eq!(pop_event(&mut q), "c");
         assert!(q.pop().is_none());
     }
 
@@ -269,7 +478,7 @@ mod tests {
             q.schedule(t, i);
         }
         for i in 0..10 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(pop_event(&mut q), i);
         }
     }
 
@@ -287,7 +496,7 @@ mod tests {
             q.schedule(t, i);
         }
         for i in 100..110 {
-            assert_eq!(q.pop().unwrap().1, i);
+            assert_eq!(pop_event(&mut q), i);
         }
     }
 
@@ -308,7 +517,7 @@ mod tests {
         assert_eq!(q.cancel(h), Some("x"));
         assert_eq!(q.cancel(h), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "y");
+        assert_eq!(pop_event(&mut q), "y");
     }
 
     #[test]
@@ -321,7 +530,7 @@ mod tests {
         let h2 = q.schedule(Time::from_us(20), "new");
         assert_eq!(h.slot, h2.slot, "slot should be recycled");
         assert_eq!(q.cancel(h), None);
-        assert_eq!(q.pop().unwrap().1, "new");
+        assert_eq!(pop_event(&mut q), "new");
     }
 
     #[test]
@@ -340,7 +549,7 @@ mod tests {
         let (t, _) = q.pop().unwrap();
         q.schedule(t + Dur::from_ms(1), 2u32);
         let (t2, v) = q.pop().unwrap();
-        assert_eq!(v, 2);
+        assert_eq!(v, Popped::Event(2));
         assert_eq!(t2, Time::from_us(2_000));
     }
 
@@ -452,7 +661,91 @@ mod tests {
         }
         assert!(q.is_empty());
         q.schedule(Time::from_us(500), 999);
-        assert_eq!(q.pop().unwrap().1, 999);
+        assert_eq!(pop_event(&mut q), 999);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn timers_and_events_pop_in_one_seq_order() {
+        let mut q = EventQueue::new();
+        let t = Time::from_us(5);
+        q.schedule(t, "a");
+        q.set_timer(3, Some(t));
+        q.schedule(t, "b");
+        q.set_timer(1, Some(Time::from_us(2)));
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(Time::from_us(2)));
+        assert_eq!(q.pop(), Some((Time::from_us(2), Popped::Timer(1))));
+        assert_eq!(q.pop(), Some((t, Popped::Event("a"))));
+        assert_eq!(q.pop(), Some((t, Popped::Timer(3))));
+        assert_eq!(q.pop(), Some((t, Popped::Event("b"))));
+        assert!(q.pop().is_none());
+        assert_eq!((q.total_popped(), q.peak_depth()), (4, 4));
+    }
+
+    #[test]
+    fn moving_a_timer_takes_a_fresh_seq_and_setting_it_unchanged_does_not() {
+        let mut q = EventQueue::new();
+        let t = Time::from_us(7);
+        q.set_timer(0, Some(t));
+        q.schedule(t, "x");
+        q.set_timer(0, Some(t)); // unchanged: keeps its place before "x"
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t, Popped::Timer(0))));
+        q.set_timer(0, Some(Time::from_us(9)));
+        q.set_timer(0, Some(t)); // moved back: now behind "x"
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t, Popped::Event("x"))));
+        assert_eq!(q.pop(), Some((t, Popped::Timer(0))));
+        q.set_timer(0, None);
+        assert!(q.is_empty() && q.timer(0).is_none());
+    }
+
+    #[test]
+    fn fired_timers_stay_due_until_set_again() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.set_timer(2, Some(Time::from_us(4)));
+        q.set_timer(5, Some(Time::from_us(4)));
+        q.set_timer(6, Some(Time::from_us(9)));
+        let mut due = Vec::new();
+        q.timers_due(Time::from_us(3), &mut due);
+        assert!(due.is_empty());
+        q.timers_due(Time::from_us(4), &mut due);
+        due.sort_unstable();
+        assert_eq!(due, vec![2, 5]);
+        assert_eq!(q.pop(), Some((Time::from_us(4), Popped::Timer(2))));
+        assert_eq!(q.timer(2), Some(Time::from_us(4)));
+        assert!(q.pending_timers().all(|(key, _)| key != 2), "fired, not pending");
+        q.set_timer(2, Some(Time::from_us(4))); // fired, unchanged
+        q.timers_due(Time::from_us(8), &mut due);
+        due.sort_unstable();
+        assert_eq!(due, vec![2, 5], "a fired timer stays due");
+        q.set_timer(2, Some(Time::from_us(12)));
+        q.timers_due(Time::from_us(8), &mut due);
+        assert_eq!(due, vec![5]);
+        assert_eq!(q.pending_timers().count(), 3);
+    }
+
+    #[test]
+    fn timer_churn_keeps_the_heap_indexed() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let mut rng = crate::rng::SimRng::new(0x71E5);
+        let mut want: Vec<Option<Time>> = vec![None; 32];
+        for round in 0..20_000 {
+            let key = rng.below(32) as usize;
+            let at = (rng.below(4) != 0).then(|| q.now() + Dur::from_us(rng.below(500)));
+            q.set_timer(key, at);
+            want[key] = at;
+            if round % 3 == 0 {
+                if let Some((t, Popped::Timer(k))) = q.pop() {
+                    assert_eq!(want[k], Some(t));
+                    let earliest = q.pending_timers().map(|(_, at)| at).min();
+                    assert!(earliest.is_none_or(|e| e >= t));
+                    want[k] = None;
+                    q.set_timer(k, None);
+                }
+            }
+        }
+        assert_eq!(q.len(), want.iter().flatten().count());
     }
 }

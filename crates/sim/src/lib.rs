@@ -46,7 +46,7 @@ pub mod time;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use core_sched::{BgJobId, CoreEvent, FgLabel};
-pub use event::{EventHandle, EventQueue};
+pub use event::{EventHandle, EventQueue, Popped};
 pub use failure::{FailureAction, FailureScript};
 pub use interference::{BgAction, BgScript};
 pub use membership::{

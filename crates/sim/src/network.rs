@@ -7,7 +7,7 @@
 //! with a multiplicative *virtualization penalty* applied to cross-node
 //! messages, since intra-node delivery bypasses the virtualized NIC.
 
-use crate::time::Dur;
+use crate::time::{round_u64, Dur};
 use serde::{Deserialize, Serialize};
 
 /// Latency/bandwidth network model.
@@ -49,7 +49,7 @@ impl NetworkModel {
             Dur::from_us(self.intra_node_latency_us)
         } else {
             let wire = self.inter_node_latency_us as f64 + bytes as f64 / self.bandwidth_bytes_per_us;
-            Dur::from_us((wire * self.virtualization_penalty).round() as u64)
+            Dur::from_us(round_u64(wire * self.virtualization_penalty))
         }
     }
 

@@ -66,7 +66,7 @@ impl Dur {
     /// Construct from fractional seconds, rounding to the nearest µs.
     /// Negative inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        Dur((s.max(0.0) * 1e6).round() as u64)
+        Dur(round_u64(s.max(0.0) * 1e6))
     }
 
     /// Span in microseconds.
@@ -82,6 +82,47 @@ impl Dur {
     /// `true` for the empty span.
     pub fn is_zero(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// 2^52: below it an `f64`'s fractional part is exact, at and above it
+/// every `f64` is an integer.
+const EXACT_INT_LIMIT: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round() as u64`, bit for bit. Baseline x86-64 (SSE2 only) has no
+/// rounding instruction, so `f64::round` is a library call; on the hot
+/// path's non-negative finite inputs below 2^52 this truncates and
+/// corrects by the exact fractional part instead. Every other input
+/// (negative, huge, infinite, NaN) takes the library path.
+#[inline]
+pub(crate) fn round_u64(x: f64) -> u64 {
+    if (0.0..EXACT_INT_LIMIT).contains(&x) {
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
+/// `x.ceil().max(0.0) as u64`, bit for bit; see [`round_u64`].
+#[inline]
+pub(crate) fn ceil_u64(x: f64) -> u64 {
+    if (0.0..EXACT_INT_LIMIT).contains(&x) {
+        let whole = x as i64;
+        (whole + i64::from((whole as f64) < x)) as u64
+    } else {
+        x.ceil().max(0.0) as u64
+    }
+}
+
+/// `x.fract() != 0.0`, bit for bit; see [`round_u64`] (`fract` calls the
+/// library's `trunc`).
+#[inline]
+pub(crate) fn has_fraction(x: f64) -> bool {
+    if (0.0..EXACT_INT_LIMIT).contains(&x) {
+        x != (x as i64) as f64
+    } else {
+        x.fract() != 0.0
     }
 }
 
@@ -187,6 +228,61 @@ mod tests {
         assert!(Time::from_us(1) < Time::from_us(2));
         assert!(Time::MAX > Time::from_us(u64::MAX - 1));
         assert!(Dur::from_us(7) > Dur::ZERO);
+    }
+
+    /// The reference each helper must match bit for bit.
+    fn reference(x: f64) -> (u64, u64, bool) {
+        (x.round() as u64, x.ceil().max(0.0) as u64, x.fract() != 0.0)
+    }
+
+    fn helpers(x: f64) -> (u64, u64, bool) {
+        (round_u64(x), ceil_u64(x), has_fraction(x))
+    }
+
+    #[test]
+    fn rounding_helpers_match_libm() {
+        let two52 = EXACT_INT_LIMIT;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            1e-300,
+            f64::MIN_POSITIVE,
+            two52 - 0.5,
+            two52 - 1.0,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            1e300,
+            f64::MAX,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(helpers(x), reference(x), "x = {x:e}");
+        }
+        // Seeded sweep over magnitudes, half-integers, the 2^52 boundary
+        // and raw bit patterns, each with its two neighbouring floats.
+        let mut rng = crate::rng::SimRng::new(0x0E0A_7D01);
+        for _ in 0..200_000 {
+            let x = match rng.below(4) {
+                0 => rng.range_f64(0.0, 1.0) * 10f64.powi(rng.below(20) as i32),
+                1 => rng.below(1 << 20) as f64 + 0.5,
+                2 => two52 + rng.range_f64(-8.0, 8.0),
+                _ => f64::from_bits(rng.next_u64()),
+            };
+            let bits = x.to_bits();
+            for y in [bits, bits.wrapping_add(1), bits.wrapping_sub(1)].map(f64::from_bits) {
+                assert_eq!(helpers(y), reference(y), "{y:e} ({:#x})", y.to_bits());
+            }
+        }
     }
 
     #[test]

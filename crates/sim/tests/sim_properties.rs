@@ -3,7 +3,8 @@
 //! external property-test crate).
 
 use cloudlb_sim::core_sched::{Core, FgLabel};
-use cloudlb_sim::{Dur, EventQueue, PowerModel, SimRng, Time};
+use cloudlb_sim::{Dur, EventHandle, EventQueue, Popped, PowerModel, SimRng, Time};
+use std::collections::BTreeSet;
 
 const CASES: usize = 256;
 
@@ -20,7 +21,8 @@ fn event_queue_pops_sorted_and_stable() {
             q.schedule(Time::from_us(t), seq);
         }
         let mut last: Option<(Time, usize)> = None;
-        while let Some((t, seq)) = q.pop() {
+        while let Some((t, popped)) = q.pop() {
+            let Popped::Event(seq) = popped else { unreachable!("no timers set") };
             if let Some((lt, lseq)) = last {
                 assert!(t > lt || (t == lt && seq > lseq), "order violated");
             }
@@ -51,6 +53,92 @@ fn event_queue_cancellation() {
             popped += 1;
         }
         assert_eq!(popped, times.len() - cancelled.len());
+    }
+}
+
+/// Reference encoding of per-key timers: each timer is a cancellable
+/// event, with a `BTreeSet` of `(instant, key)` mirroring every timer that
+/// is pending or fired-and-not-since-set, the way the executor kept its
+/// per-core wakes before timers moved into the queue.
+struct WakeModel {
+    q: EventQueue<Result<u64, usize>>,
+    wake: Vec<Option<(EventHandle, Time)>>,
+    due: BTreeSet<(Time, usize)>,
+}
+
+impl WakeModel {
+    fn set(&mut self, key: usize, at: Option<Time>) {
+        match (self.wake[key], at) {
+            (Some((_, old)), Some(new)) if old == new => {}
+            (None, None) => {}
+            (old, new) => {
+                if let Some((h, old)) = old {
+                    self.q.cancel(h);
+                    self.due.remove(&(old, key));
+                }
+                if let Some(t) = new {
+                    self.due.insert((t, key));
+                }
+                self.wake[key] = new.map(|t| (self.q.schedule(t, Err(key)), t));
+            }
+        }
+    }
+}
+
+/// Timers in the queue behave exactly like the cancel-and-reschedule
+/// encoding they replace: the same pops in the same order, the same
+/// counters, and the same due keys at every instant, under random mixes
+/// of schedules, timer sets, moves, clears and pops.
+#[test]
+fn timers_match_the_cancellable_wake_encoding() {
+    let mut rng = SimRng::new(0x00E0_E007);
+    for case in 0..CASES {
+        let keys = rng.range_u64(1, 12) as usize;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model =
+            WakeModel { q: EventQueue::new(), wake: vec![None; keys], due: BTreeSet::new() };
+        let (mut due, mut want_due) = (Vec::new(), Vec::new());
+        for op in 0..400u64 {
+            let now = q.now();
+            match rng.below(10) {
+                0..=2 => {
+                    let at = now + Dur::from_us(rng.below(50));
+                    q.schedule(at, op);
+                    model.q.schedule(at, Ok(op));
+                }
+                3..=5 => {
+                    let key = rng.below(keys as u64) as usize;
+                    // Clear, set near `now` (ties with events), or re-set the
+                    // instant it already holds.
+                    let at = match rng.below(4) {
+                        0 => None,
+                        1 => q.timer(key).filter(|&at| at >= now),
+                        _ => Some(now + Dur::from_us(rng.below(20))),
+                    };
+                    q.set_timer(key, at);
+                    model.set(key, at);
+                }
+                _ => {
+                    let got = q.pop();
+                    let want = model.q.pop().map(|(t, p)| match p {
+                        Popped::Event(Ok(m)) => (t, Popped::Event(m)),
+                        Popped::Event(Err(key)) => (t, Popped::Timer(key)),
+                        Popped::Timer(_) => unreachable!("the model sets no timers"),
+                    });
+                    assert_eq!(got, want, "case {case} op {op}: pop");
+                }
+            }
+            assert_eq!(q.len(), model.q.len(), "case {case} op {op}: len");
+            assert_eq!(q.total_popped(), model.q.total_popped(), "case {case} op {op}");
+            assert_eq!(q.peak_depth(), model.q.peak_depth(), "case {case} op {op}: peak");
+            let now = q.now();
+            q.timers_due(now, &mut due);
+            due.sort_unstable();
+            want_due.clear();
+            want_due.extend(model.due.range(..=(now, usize::MAX)).map(|&(_, key)| key));
+            want_due.sort_unstable();
+            assert_eq!(due, want_due, "case {case} op {op}: due at {now:?}");
+        }
     }
 }
 
