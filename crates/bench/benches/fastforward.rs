@@ -1,4 +1,4 @@
-//! PERF — steady-state fast-forward: differential check + throughput.
+//! PERF — steady-state fast-forward: differential checks + throughput.
 //!
 //! Runs a long clean (interference-free) sweep twice — once with the
 //! fast-forward macro-stepper forced ON and once forced OFF — and
@@ -15,10 +15,14 @@
 //! `CLOUDLB_CHECK=<path>` the ON throughput is gated against a checked-in
 //! baseline like the other perf benches.
 //!
-//! Chaos/failure workloads are deliberately absent here — the engine
-//! declines disturbed windows, so those runs measure the ordinary path
-//! (covered by `perf_baseline.rs`). Bit-identity under disturbance is
-//! asserted by `tests/fast_forward.rs`.
+//! A second, untimed pass runs the paper's interference (4 apps × noLB /
+//! CloudRefine, the two-core background job resident across windows) in
+//! both modes. Windows with a resident job replay too, re-cutting the
+//! background hosts; the pass exits 1 on any divergence and unless every
+//! noLB run replays. Windows where the job starts, stops or completes,
+//! and chaos/failure workloads, run the ordinary path (covered by
+//! `perf_baseline.rs`); bit-identity under those is asserted by
+//! `tests/fast_forward.rs`.
 
 use cloudlb_bench::{baseline, sweeps, Settings};
 
@@ -32,6 +36,10 @@ fn main() {
             std::process::exit(1);
         }
     };
+    if let Err(e) = sweeps::fastforward_interfered(&s) {
+        eprintln!("DIVERGENCE: {e}");
+        std::process::exit(1);
+    }
     let path = baseline::write_json("fastforward", &record);
     println!("wrote {}", path.display());
     baseline::maybe_check(record.events_per_sec);

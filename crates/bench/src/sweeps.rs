@@ -250,6 +250,55 @@ pub fn fastforward_sweep(s: &Settings) -> Result<SweepRecord, String> {
     })
 }
 
+/// Differential pass under the paper's interference: 4 apps × noLB /
+/// CloudRefine with the two-core background job resident across LB
+/// windows, each run with fast-forward OFF and ON. The replays re-cut the
+/// background hosts, so this pass is the bench's check that they stay
+/// bit-identical. `Err` lists every diverging run and every noLB run that
+/// replayed no window (the gate must not pass by declining everything).
+pub fn fastforward_interfered(s: &Settings) -> Result<(), String> {
+    let scenarios = |ff| {
+        let mut out = Vec::new();
+        for app in ["jacobi2d", "wave2d", "mol3d", "stencil3d"] {
+            for &cores in &s.cores {
+                for strategy in ["nolb", "cloudrefine"] {
+                    for &seed in &s.seeds {
+                        let mut scn = Scenario::paper(app, cores, strategy);
+                        scn.seed = seed;
+                        scn.fast_forward = ff;
+                        out.push(scn);
+                    }
+                }
+            }
+        }
+        out
+    };
+    let off = par_map(s.jobs, scenarios(FastForward::Off), |scn| run_scenario(&scn));
+    let on = par_map(s.jobs, scenarios(FastForward::On), |scn| run_scenario(&scn));
+    let runs = on.len();
+    let (mut ff_windows, mut skipped, mut events) = (0, 0, 0);
+    let mut failures = Vec::new();
+    for (scn, (a, b)) in scenarios(FastForward::On).iter().zip(on.into_iter().zip(off)) {
+        let label = format!("{}/{}/{}/seed {}", scn.app, scn.cores, scn.strategy, scn.seed);
+        (ff_windows, skipped, events) =
+            (ff_windows + a.ff_windows, skipped + a.events_skipped, events + a.sim_events);
+        if scn.strategy == "nolb" && a.ff_windows == 0 {
+            failures.push(format!("{label}: replayed no window"));
+        }
+        if a.scrub_ff() != b {
+            failures.push(format!("{label}: diverged between fast-forward on and off"));
+        }
+    }
+    if !failures.is_empty() {
+        return Err(format!("interfered pass:\n{}", failures.join("\n")));
+    }
+    println!(
+        "interfered: {runs}/{runs} runs bit-identical, {ff_windows} windows replayed, \
+         {skipped} of {events} pops skipped"
+    );
+    Ok(())
+}
+
 /// Packets per straggler group in the skew arms: 16 uniform cells plus
 /// one Mol3D-heavy straggler, matching the pipeline bench's contract.
 const SKEW_GROUP: usize = 17;

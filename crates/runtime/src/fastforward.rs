@@ -1,32 +1,42 @@
 //! Steady-state fast-forward: window templates for analytic macro-stepping.
 //!
-//! Between two LB events a clean run is *periodic*: every chare executes
-//! exactly `period` iterations, the event pattern repeats window after
-//! window, and — because the simulator does all of its accounting in
-//! integer microseconds with no background sharing — the whole window is
-//! **translation-invariant**: shifting the window start by Δ shifts every
-//! event in it by exactly Δ and changes no duration, counter delta, or
-//! tie-break. The executor exploits this by *capturing* one live window
-//! into a [`WindowTemplate`] (relative event times, per-core counter
-//! deltas, message flows) and *replaying* it over later windows in O(n ×
-//! period) instead of simulating every message/wake/completion event.
+//! Between two LB events an iterative run is *periodic*: every chare
+//! executes exactly `period` iterations, and the event pattern repeats
+//! window after window. A core with no background task accounts in integer
+//! microseconds and accrues exactly the wall time of any segment, so its
+//! share of a window is **translation-invariant**: shifting the window
+//! start by Δ shifts every event by exactly Δ and changes no duration,
+//! counter delta, or tie-break. The executor exploits this by *capturing*
+//! one live window into a [`WindowTemplate`] (relative event times,
+//! per-core counter deltas, message flows) and *replaying* it over later
+//! windows in O(n × period) instead of simulating every
+//! message/wake/completion event.
 //!
 //! A window is only captured/replayed when it is provably steady-state:
 //!
-//! * no background job resident anywhere: a core sharing with a
-//!   background task rounds its GPS accounting once per segment, so its
-//!   counter deltas depend on where its time is cut and are not
-//!   translation-invariant ([`cloudlb_sim::Cluster::any_bg`]; a bg-free
-//!   core accrues exactly the wall time of any segment);
+//! * the background composition — which core hosts which job at what
+//!   weight — is the same as the template's, and no background job starts,
+//!   stops or completes inside the window. A host core rounds its GPS
+//!   accounting once per segment and carries f64 residue (`dust_us`, the
+//!   job's remaining and consumed demand) from window to window, so its
+//!   counters are not translation-invariant: replay re-cuts a copy of each
+//!   host through the template's pop instants and foreground starts
+//!   ([`HostTemplate`]) and commits only if its task completions land on
+//!   the template's instants ([`cloudlb_sim::Cluster::bulk_advance`]);
 //! * nothing in the event queue except current-epoch ghost messages for
-//!   the boundary iteration (pending interference, failure, or stale
-//!   events decline the window);
+//!   the boundary iteration and the background hosts' wake timers
+//!   (pending interference, failure, or stale events decline the window);
 //! * the network is deterministic over the window (no stochastic chaos
 //!   knobs; no partition window opening before the window ends);
 //! * task costs are noise-free and match the template bit-for-bit;
 //! * the chare→core mapping and alive mask match the template.
 //!
-//! Anything else falls back to the event-by-event path for that window, so
+//! A host's wake timer pending at the window's end is re-set in the order
+//! the live loop set it relative to the end-of-window ghosts and the
+//! `LbDone` ([`HostTemplate::end_sent`]), because a timer and a ghost at
+//! the same instant pop differently depending on that order.
+//!
+//! A window failing any of these checks runs on the event-by-event path, so
 //! fast-forwarded runs are bit-identical to `fast_forward: off` in every
 //! `RunResult` field except the two observability counters
 //! (`ff_windows`, `events_skipped`), which
@@ -37,7 +47,7 @@
 //! holds the plain-data template types.
 
 use cloudlb_sim::core_sched::CoreStat;
-use cloudlb_sim::{Dur, Time};
+use cloudlb_sim::{BgJobId, Dur, Time};
 
 /// One task completion inside a captured window, in completion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +60,9 @@ pub struct FfSample {
     pub iter_off: usize,
     /// CPU time charged (what the LB database records).
     pub cpu: Dur,
-    /// Wall time observed (equals `cpu` in bg-free windows, but kept
-    /// verbatim so `InstrumentMode::WallTime` replays exactly).
+    /// Wall time observed: `cpu` on a core without background load, the
+    /// stretched extent on a background host (the re-cut reproduces it, so
+    /// `InstrumentMode::WallTime` replays exactly).
     pub wall: Dur,
 }
 
@@ -117,6 +128,46 @@ pub struct WindowTemplate {
     /// How far the window raised the live queue depth above its starting
     /// level (replayed via `EventQueue::raise_peak`).
     pub peak_delta: usize,
+    /// What re-cutting the background hosts needs; `None` for a window
+    /// without background load, which keeps the template at its clean size.
+    pub hosts: Option<Box<HostTemplate>>,
+}
+
+/// A background job's share of one host core: `(core, job, weight bits)`,
+/// as [`cloudlb_sim::Cluster::bg_shares`] lists them.
+pub type BgShare = (usize, BgJobId, u64);
+
+/// A foreground start on a background host inside a captured window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FfStart {
+    /// µs after the release.
+    pub rel: u32,
+    /// The host core.
+    pub core: usize,
+    /// CPU demand of the task.
+    pub demand: Dur,
+}
+
+/// The part of a [`WindowTemplate`] that re-cuts background hosts.
+///
+/// Every task completion is handled in the first pop at its instant (its
+/// core's wake is due there), so ghosts are sent and host wakes change
+/// only in pops that a host is cut in, or later pops at the same instant.
+/// Instants therefore order the host wakes against the pending ghosts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostTemplate {
+    /// The background composition the window ran under.
+    pub bg: Vec<BgShare>,
+    /// The window's distinct pop instants after the release, µs after it,
+    /// ascending. A host is settled eagerly, so it is cut at every one.
+    pub cuts: Vec<u32>,
+    /// Every foreground start on a host core, in execution order.
+    pub starts: Vec<FfStart>,
+    /// When each ghost of `end_inflight` was sent, µs after the release.
+    /// A host wake last set at instant `w` orders after every ghost sent
+    /// at or before `w` (the `LbDone` is scheduled at the window's end,
+    /// after its ghosts).
+    pub end_sent: Vec<u32>,
 }
 
 /// In-progress capture state while a candidate window runs live.
@@ -148,6 +199,58 @@ pub struct Capture {
     pub start_inbox: Vec<(usize, usize)>,
     /// Task completions recorded as the window runs.
     pub samples: Vec<FfSample>,
+    /// Background-host recording, for a window that starts with background
+    /// load.
+    pub hosts: Option<Box<HostCapture>>,
+}
+
+/// What a capture records beside the clean template while background
+/// hosts are resident (see [`HostTemplate`]).
+#[derive(Debug, Default)]
+pub struct HostCapture {
+    /// Background composition at the release.
+    pub bg: Vec<BgShare>,
+    /// Distinct pop instants so far (see [`HostTemplate::cuts`]).
+    pub cuts: Vec<u32>,
+    /// Foreground starts on host cores so far.
+    pub starts: Vec<FfStart>,
+    /// `(first sequence number, µs after the release)` of the ghosts each
+    /// completion of the window's last iteration sent, in sending order.
+    pub sends: Vec<(u64, u32)>,
+    /// `true` while the pop being handled is the first at its instant.
+    pub first_at_instant: bool,
+}
+
+impl HostCapture {
+    /// Open at the release with background composition `bg`.
+    pub fn new(bg: Vec<BgShare>) -> Self {
+        HostCapture { bg, ..Self::default() }
+    }
+
+    /// The instant of the pop being handled, µs after the release.
+    pub fn at(&self) -> u32 {
+        self.cuts.last().copied().unwrap_or(0)
+    }
+
+    /// Record a pop `rel` µs after the release.
+    pub fn on_pop(&mut self, rel: u32) {
+        self.first_at_instant = rel != self.at();
+        if self.first_at_instant {
+            self.cuts.push(rel);
+        }
+    }
+
+    /// `true` if `core` hosts background load in this window.
+    pub fn is_host(&self, core: usize) -> bool {
+        self.bg.iter().any(|&(c, ..)| c == core)
+    }
+
+    /// When the ghost with sequence number `seq` was sent (it must be one
+    /// of the window's last iteration), µs after the release.
+    pub fn sent_at(&self, seq: u64) -> u32 {
+        let i = self.sends.partition_point(|&(first, _)| first <= seq);
+        self.sends[i - 1].1
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +265,23 @@ mod tests {
         let r1 = Time::from_us(10_000);
         let r2 = Time::from_us(77_000);
         assert_eq!((r1 + msg.rel).since(r1), (r2 + msg.rel).since(r2));
+    }
+
+    #[test]
+    fn host_capture_records_instants_and_senders() {
+        let mut h = HostCapture::new(vec![(0, 1, 1.0f64.to_bits())]);
+        h.on_pop(0);
+        assert!(!h.first_at_instant, "the release instant is not a cut");
+        h.on_pop(5);
+        assert!(h.first_at_instant);
+        h.sends.push((100, h.at()));
+        h.on_pop(5);
+        assert!(!h.first_at_instant);
+        h.on_pop(9);
+        h.sends.push((104, h.at()));
+        assert_eq!(h.cuts, vec![5, 9], "one cut per distinct instant");
+        assert_eq!([100, 103, 104, 250].map(|seq| h.sent_at(seq)), [5, 5, 9, 9]);
+        assert!(h.is_host(0) && !h.is_host(1));
     }
 
     #[test]

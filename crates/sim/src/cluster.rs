@@ -273,24 +273,53 @@ impl Cluster {
     /// `true` if any core currently hosts a background task. A core
     /// sharing with a background task rounds its GPS accounting once per
     /// segment, so its counters depend on where its time is cut; the
-    /// fast-forward engine replays measured per-core deltas, so it only
-    /// macro-steps while this is `false`. O(sensitive cores): every
-    /// background host is in the eager set.
+    /// fast-forward engine cannot credit such a core a measured delta, and
+    /// re-cuts it instead (see [`Cluster::bulk_advance`]).
+    /// O(sensitive cores): every background host is in the eager set.
     pub fn any_bg(&self) -> bool {
         self.eager.iter().any(|&c| self.cores[c].has_bg())
     }
 
-    /// Fast-forward support: jump *every* core's accounting to `to` in one
-    /// step, crediting per-core counter `deltas` (one entry per core, as
-    /// measured over an equivalent window by [`Cluster::stats`]
-    /// differencing). Panics unless every core is quiescent; see
-    /// [`Core::bulk_advance`]. Emits no completion events and records no
-    /// trace intervals. Every core is settled to the current instant first.
-    pub fn bulk_advance(&mut self, to: Time, deltas: &[CoreStat]) {
-        assert_eq!(deltas.len(), self.cores.len(), "one delta per core");
-        for (core, &delta) in deltas.iter().enumerate() {
-            self.mutate(core, |c| c.bulk_advance(to, delta));
+    /// The background composition as `(core, job, weight bits)`, by
+    /// ascending core, then in the order the core hosts the tasks.
+    pub fn bg_shares(&self) -> Vec<(usize, BgJobId, u64)> {
+        let mut out = Vec::new();
+        for &core in &self.eager {
+            let shares = self.cores[core].bg_shares();
+            out.extend(shares.map(|(job, weight)| (core, job, weight.to_bits())));
         }
+        out
+    }
+
+    /// Borrow one core (fast-forward clones background hosts to re-cut
+    /// them speculatively).
+    pub fn core(&self, core: usize) -> &Core {
+        &self.cores[core]
+    }
+
+    /// Fast-forward support: jump *every* core's accounting to `to` in one
+    /// step. Cores in `recut` — copies of background hosts the caller has
+    /// already advanced to `to` through the window's own cuts with
+    /// [`Core::advance`] — replace the live ones. Every other core is
+    /// credited its entry of `deltas` (one per core, as measured over an
+    /// equivalent window by [`Cluster::stats`] differencing) and must be
+    /// quiescent; see [`Core::bulk_advance`]. Emits no completion events
+    /// and records no trace intervals. Every core is settled to the current
+    /// instant first.
+    pub fn bulk_advance(&mut self, to: Time, deltas: &[CoreStat], recut: Vec<Core>) {
+        assert_eq!(deltas.len(), self.cores.len(), "one delta per core");
+        let mut recut = recut.into_iter().peekable();
+        for (core, &delta) in deltas.iter().enumerate() {
+            match recut.next_if(|c| c.index() == core) {
+                Some(host) => {
+                    assert_eq!(host.accounted_until(), to, "core {core}: re-cut short of the jump");
+                    self.cores[core] = host;
+                    self.touch(core);
+                }
+                None => self.mutate(core, |c| c.bulk_advance(to, delta)),
+            }
+        }
+        assert!(recut.next().is_none(), "re-cut cores must be ascending and in range");
         self.now = to;
     }
 
@@ -394,6 +423,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::procstat::ProcStat;
 
     #[test]
     fn paper_testbed_shapes() {
@@ -497,8 +527,45 @@ mod tests {
             })
             .collect();
         let mut fast = mk();
-        fast.bulk_advance(Time::from_us(9_000), &deltas);
+        fast.bulk_advance(Time::from_us(9_000), &deltas, Vec::new());
         assert_eq!(fast.stats(), slow.stats());
+    }
+
+    #[test]
+    fn bulk_advance_installs_recut_hosts() {
+        // A window with a background host on core 1: the live twin is cut
+        // at every step; the fast twin re-cuts a copy of core 1 through
+        // the same instants and credits core 0 its measured delta.
+        let mk = || {
+            let mut cl = Cluster::new(ClusterConfig { nodes: 1, cores_per_node: 2, trace: false });
+            cl.add_bg(1, 7, Some(Dur::from_us(50_000)), 1.0);
+            cl.advance_to(Time::from_us(1_000));
+            cl
+        };
+        let cuts = [1_700, 2_333, 4_000, 9_000].map(Time::from_us);
+        let mut slow = mk();
+        let before = slow.stats();
+        slow.start_fg(0, FgLabel { chare: 0 }, Dur::from_us(3_000), 1.0);
+        slow.start_fg(1, FgLabel { chare: 1 }, Dur::from_us(1_500), 1.0);
+        let mut ev = Vec::new();
+        for &t in &cuts {
+            slow.advance_into(t, &mut ev);
+        }
+        let delta = ProcStat { cores: slow.stats() }.delta_since(&ProcStat { cores: before });
+
+        let mut fast = mk();
+        let mut host = fast.core(1).clone();
+        host.start_fg(FgLabel { chare: 1 }, Dur::from_us(1_500), 1.0);
+        let mut host_ev = Vec::new();
+        for &t in &cuts {
+            host.advance(t, &mut host_ev, None);
+        }
+        assert_eq!(host_ev, vec![(Time::from_us(4_000), CoreEvent::FgDone { core: 1 })]);
+        fast.bulk_advance(Time::from_us(9_000), &delta, vec![host]);
+        assert_eq!(fast.stats(), slow.stats());
+        assert_eq!(fast.bg_shares(), slow.bg_shares());
+        assert_eq!(fast.next_completion(1), slow.next_completion(1));
+        assert_eq!(fast.bg_shares(), vec![(1, 7, 1.0f64.to_bits())]);
     }
 
     #[test]

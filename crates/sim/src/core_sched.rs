@@ -191,6 +191,11 @@ impl Core {
         self.bg.iter().map(|b| b.job).collect()
     }
 
+    /// Background tasks currently hosted, as `(job, weight)`.
+    pub fn bg_shares(&self) -> impl Iterator<Item = (BgJobId, f64)> + '_ {
+        self.bg.iter().map(|b| (b.job, b.weight))
+    }
+
     /// `true` while at least one background task is hosted here.
     pub fn has_bg(&self) -> bool {
         !self.bg.is_empty()

@@ -380,6 +380,13 @@ impl<E> EventQueue<E> {
         self.scheduled
     }
 
+    /// The sequence number the next [`EventQueue::schedule`] or timer set
+    /// will take: every entry scheduled from now on orders after every
+    /// entry scheduled before, at the same instant.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Total events popped (fired) over the queue's lifetime.
     pub fn total_popped(&self) -> u64 {
         self.popped
@@ -691,14 +698,17 @@ mod tests {
         q.schedule(t, "x");
         q.set_timer(0, Some(t)); // unchanged: keeps its place before "x"
         assert_eq!(q.len(), 2);
+        assert_eq!(q.next_seq(), 2, "only the first set and the schedule took a seq");
         assert_eq!(q.pop(), Some((t, Popped::Timer(0))));
         q.set_timer(0, Some(Time::from_us(9)));
         q.set_timer(0, Some(t)); // moved back: now behind "x"
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some((t, Popped::Event("x"))));
         assert_eq!(q.pop(), Some((t, Popped::Timer(0))));
+        assert_eq!(q.next_seq(), 4);
         q.set_timer(0, None);
         assert!(q.is_empty() && q.timer(0).is_none());
+        assert_eq!(q.next_seq(), 4, "clearing takes no seq");
     }
 
     #[test]
