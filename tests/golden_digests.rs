@@ -10,8 +10,11 @@
 //! `perfbench/digests.txt` in the same change.
 //!
 //! Coverage: three apps at 16 and 64 cores under the paper's
-//! interference, one case per chaos preset, all with fast-forward off,
-//! plus one clean fast-forward `Auto` case where replay engages. Two
+//! interference, one case per chaos preset, the `nolb`,
+//! `hiercloudrefine` and `greedybg` arms on `paper/jacobi2d/16`, and CI
+//! seeds 2 and 3 on that cell and on the spot-storm and failure-drill
+//! presets, all with fast-forward off, plus one clean fast-forward
+//! `Auto` case where replay engages. Two
 //! interfered cases also run as fast-forward `Auto` twins, which replay
 //! windows with the background job resident and must hash to their
 //! `Off` row's digest.
@@ -39,7 +42,8 @@ fn cases() -> Vec<(String, Scenario)> {
             push(format!("paper/{app}/{cores}"), scn, FastForward::Off);
         }
     }
-    type Preset = (&'static str, fn(&str, usize, &str) -> Scenario, &'static str, &'static str);
+    type Make = fn(&str, usize, &str) -> Scenario;
+    type Preset = (&'static str, Make, &'static str, &'static str);
     let presets: [Preset; 5] = [
         ("flaky_cloud", Scenario::flaky_cloud, "wave2d", "cloudrefine"),
         ("spot_storm", Scenario::spot_storm, "jacobi2d", "cloudrefine"),
@@ -49,6 +53,24 @@ fn cases() -> Vec<(String, Scenario)> {
     ];
     for (name, make, app, arm) in presets {
         push(format!("{name}/{app}/16"), make(app, 16, arm), FastForward::Off);
+    }
+    // The other arms on one paper cell, and the CI seeds beyond the
+    // default seed 1 on that cell and on the two presets that drive the
+    // failure and membership handlers.
+    for arm in ["nolb", "hiercloudrefine", "greedybg"] {
+        let scn = Scenario::paper("jacobi2d", 16, arm);
+        push(format!("paper/jacobi2d/16/{arm}"), scn, FastForward::Off);
+    }
+    let seeded: [(&str, Make); 3] = [
+        ("paper", Scenario::paper),
+        ("spot_storm", Scenario::spot_storm),
+        ("failure_drill", Scenario::failure_drill),
+    ];
+    for (name, make) in seeded {
+        for seed in [2, 3] {
+            let scn = Scenario { seed, ..make("jacobi2d", 16, "cloudrefine") };
+            push(format!("{name}/jacobi2d/16/seed{seed}"), scn, FastForward::Off);
+        }
     }
     // A clean machine, so fast-forward actually replays windows.
     let clean = Scenario::paper("jacobi2d", 16, "nolb").base_of();
@@ -66,7 +88,8 @@ const AUTO_TWINS: &[(&str, &str)] =
     &[("paper_auto/jacobi2d/16", "paper/jacobi2d/16"), ("paper_auto/mol3d/16", "paper/mol3d/16")];
 
 /// Digests recorded before the lazy core-settlement engine landed, so
-/// this table proves that change bit-identical.
+/// this table proves that change bit-identical. The arm and seed rows
+/// were recorded before the executor was split into modules.
 const GOLDEN: &[(&str, u64)] = &[
     ("paper/jacobi2d/16", 0x65e481eaa2493650),
     ("paper/jacobi2d/64", 0xd020627d0cd440fe),
@@ -79,6 +102,15 @@ const GOLDEN: &[(&str, u64)] = &[
     ("autoscale/stencil3d/16", 0x3e706948d01f1503),
     ("noisy_cloud/mol3d/16", 0x813c1d7da2cf0701),
     ("failure_drill/jacobi2d/16", 0x431c8b7bbe2c74cd),
+    ("paper/jacobi2d/16/nolb", 0x94c96810f8056348),
+    ("paper/jacobi2d/16/hiercloudrefine", 0x539f4b4d058aa6f9),
+    ("paper/jacobi2d/16/greedybg", 0xbd0be231277d71e8),
+    ("paper/jacobi2d/16/seed2", 0x28004492feff191a),
+    ("paper/jacobi2d/16/seed3", 0x9f4cb684d9e8a928),
+    ("spot_storm/jacobi2d/16/seed2", 0x931b3c64a219f5b5),
+    ("spot_storm/jacobi2d/16/seed3", 0xe99e325ddf98d9d1),
+    ("failure_drill/jacobi2d/16/seed2", 0x24907987e73f32d3),
+    ("failure_drill/jacobi2d/16/seed3", 0x29792ed5afbaf94a),
     ("clean_auto/jacobi2d/16", 0xd69973581e8b5bcd),
 ];
 
