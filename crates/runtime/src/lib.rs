@@ -18,7 +18,9 @@
 //! * [`atsync`] — the AtSync-style barrier at which load balancing runs;
 //! * [`sim_exec`] — a deterministic executor driving the application over
 //!   the `cloudlb-sim` cluster (virtual time, interference, power) — all
-//!   paper figures are produced with it;
+//!   paper figures are produced with it. Its private modules split it by
+//!   concern: the AtSync LB step, failures and rollback recovery, elastic
+//!   membership and evacuation, and steady-state fast-forward;
 //! * [`thread_exec`] — a real multi-threaded executor: chares are live
 //!   objects executing real kernels on OS worker threads and migrating
 //!   between them through channels, demonstrating that the runtime design
@@ -43,7 +45,6 @@ pub mod atsync;
 pub mod checkpoint;
 pub mod comm;
 pub mod config;
-pub mod fastforward;
 pub mod error;
 pub mod lbdb;
 pub mod migration;

@@ -167,7 +167,7 @@ impl Core {
     /// accounting: GPS sharing with a background task rounds per segment,
     /// and so does a foreground weight other than 1 or a fractional
     /// remaining demand (the residue of sharing that a `remove_bg` or a
-    /// background completion left behind; a sub-[`EPS_US`] residue
+    /// background completion left behind; a sub-`EPS_US` residue
     /// completes at whichever instant first reaches it). Every other core
     /// accrues exactly the wall time of any segment, so it may be settled
     /// lazily.

@@ -21,7 +21,7 @@
 //!   The caller always gets a final arrival instant, plus optionally the
 //!   arrival of a duplicate copy the receiver must suppress.
 //! * [`FaultyNetwork::try_send`] — the *unreliable* datagram path the
-//!   migration protocol ([`cloudlb-runtime`]'s `netproto`) builds its own
+//!   migration protocol (`cloudlb-runtime`'s `netproto`) builds its own
 //!   retry/ACK/deadline machinery on. A copy sent into a partition or lost
 //!   on the wire is simply [`SendOutcome::Lost`]; deadlines keep burning,
 //!   which is exactly how a migration comes to be aborted.

@@ -11,7 +11,7 @@
 //! correctness oracles ([`oracle`]): chare conservation, no chare left on
 //! a dead core, bit-identical rerun, fast-forward equivalence, bounded
 //! makespan against a clean twin, and typed-error (never panic)
-//! termination. On failure, a shrinker ([`shrink`]) minimizes the
+//! termination. On failure, a shrinker ([`shrink`](mod@shrink)) minimizes the
 //! scenario while preserving the failure kind and emits a self-contained
 //! JSON repro with the exact CLI line that replays it ([`repro`]).
 //! [`swarm`] fans seed ranges across the deterministic parallel pool.
