@@ -1,37 +1,33 @@
-//! MICRO — `EventQueue` slab vs the old HashMap-slot implementation.
+//! MICRO — `EventQueue` vs the old HashMap-slot implementation.
 //!
 //! The simulator's event queue used to park payloads in a
 //! `HashMap<u64, Entry>` keyed by sequence number, paying a hash +
-//! probe on every schedule, pop, and cancel. The slab rework replaces
-//! that with `Vec`-indexed slots and a free-list. This bench vendors a
-//! faithful copy of the old queue (below) and measures both on the same
-//! deterministic workloads:
+//! probe on every schedule, pop, and cancel. Today the payloads live
+//! inline in the heap, ordered on `(time, seq)`, and single events cannot
+//! be cancelled. This bench vendors a faithful copy of the old queue
+//! (below) and measures both on the same deterministic workloads:
 //!
 //! * `schedule_pop` — interleaved schedule/pop churn at a steady queue
 //!   depth, the simulator's hot pattern;
-//! * `cancel_churn` — schedule + cancel + reschedule rounds, the pattern
-//!   of any event that is withdrawn and re-issued.
-//!
-//! A third workload covers the executor's wake path:
-//!
 //! * `timer_churn` — move one pseudo-random key's timer, pop, list the
 //!   keys due at the popped instant and re-arm the fired key (the
 //!   executor's per-event wake pattern), over 64 keys. It runs once on the
 //!   queue's keyed timers and once encoded the way the executor kept its
-//!   wakes before timers existed (one cancellable event per key, moved by
-//!   cancel + schedule, mirrored in a `BTreeSet` of `(instant, key)` for
-//!   the due query); both must fire the same sequence.
+//!   wakes before timers existed (one cancellable event per key in the
+//!   vendored queue, moved by cancel + schedule, mirrored in a `BTreeSet`
+//!   of `(instant, key)` for the due query); both must fire the same
+//!   sequence.
 //!
 //! Results (ops/sec per workload plus the speedups) are serialized to
 //! `BENCH_event_queue.json`.
 
-use cloudlb_sim::{EventHandle, EventQueue, Popped, Time};
+use cloudlb_sim::{EventQueue, Popped, Time};
 use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Faithful copy of the pre-slab queue: payloads in a `HashMap` keyed by
-/// sequence number, heap of `(time, seq)` pairs.
+/// Faithful copy of the old queue: payloads in a `HashMap` keyed by
+/// sequence number, heap of `(time, seq)` pairs, cancellation by handle.
 mod hashmap_queue {
     use cloudlb_sim::Time;
     use std::cmp::Reverse;
@@ -84,12 +80,9 @@ mod hashmap_queue {
 struct MicroRecord {
     name: String,
     rounds: usize,
-    slab_schedule_pop_ops_per_sec: f64,
+    queue_schedule_pop_ops_per_sec: f64,
     hashmap_schedule_pop_ops_per_sec: f64,
     schedule_pop_speedup: f64,
-    slab_cancel_churn_ops_per_sec: f64,
-    hashmap_cancel_churn_ops_per_sec: f64,
-    cancel_churn_speedup: f64,
     timer_churn_ops_per_sec: f64,
     wake_event_churn_ops_per_sec: f64,
     timer_churn_speedup: f64,
@@ -120,7 +113,7 @@ fn event<E>(popped: Popped<E>) -> E {
 }
 
 /// Interleaved schedule/pop at a steady depth; returns (ops, checksum).
-fn slab_schedule_pop(rounds: usize, ds: &[u64]) -> (usize, u64) {
+fn queue_schedule_pop(rounds: usize, ds: &[u64]) -> (usize, u64) {
     let mut q: EventQueue<u64> = EventQueue::new();
     for (i, d) in ds.iter().enumerate().take(DEPTH) {
         q.schedule(Time::from_us(*d), i as u64);
@@ -155,52 +148,6 @@ fn hashmap_schedule_pop(rounds: usize, ds: &[u64]) -> (usize, u64) {
     (2 * rounds + 2 * DEPTH, sum)
 }
 
-/// Schedule + cancel + reschedule churn (the wake-token pattern). Times
-/// advance by 1 ms per round so every schedule lands in the future.
-fn slab_cancel_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut live = 0usize;
-    let mut sum = 0u64;
-    for (i, d) in ds[..rounds].iter().enumerate() {
-        let base = i as u64 * 1000;
-        let h = q.schedule(Time::from_us(base + 2_000_000), i as u64);
-        sum = sum.wrapping_add(q.cancel(h).expect("live"));
-        q.schedule(Time::from_us(base + d), i as u64);
-        live += 1;
-        if live > DEPTH {
-            let (_, v) = q.pop().expect("live event");
-            sum = sum.wrapping_add(event(v));
-            live -= 1;
-        }
-    }
-    while let Some((_, v)) = q.pop() {
-        sum = sum.wrapping_add(event(v));
-    }
-    (3 * rounds, sum)
-}
-
-fn hashmap_cancel_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
-    let mut q: hashmap_queue::HashQueue<u64> = hashmap_queue::HashQueue::new();
-    let mut live = 0usize;
-    let mut sum = 0u64;
-    for (i, d) in ds[..rounds].iter().enumerate() {
-        let base = i as u64 * 1000;
-        let h = q.schedule(Time::from_us(base + 2_000_000), i as u64);
-        sum = sum.wrapping_add(q.cancel(h).expect("live"));
-        q.schedule(Time::from_us(base + d), i as u64);
-        live += 1;
-        if live > DEPTH {
-            let (_, v) = q.pop().expect("live event");
-            sum = sum.wrapping_add(v);
-            live -= 1;
-        }
-    }
-    while let Some((_, v)) = q.pop() {
-        sum = sum.wrapping_add(v);
-    }
-    (3 * rounds, sum)
-}
-
 /// Move one key's timer `d` µs past now, pop, list the due keys and
 /// re-arm the fired key, for every round; the checksum folds in each fired
 /// key and instant and the due count.
@@ -221,14 +168,17 @@ fn timer_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
     (3 * rounds, sum)
 }
 
-/// [`timer_churn`] with each timer encoded as a cancellable event plus a
-/// `BTreeSet` mirror.
+/// [`timer_churn`] with each timer encoded as a cancellable event in the
+/// vendored queue plus a `BTreeSet` mirror.
 fn wake_event_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
-    let mut q: EventQueue<usize> = EventQueue::new();
-    let mut wake: Vec<Option<(EventHandle, Time)>> = vec![None; DEPTH];
+    let mut q: hashmap_queue::HashQueue<usize> = hashmap_queue::HashQueue::new();
+    let mut wake: Vec<Option<(u64, Time)>> = vec![None; DEPTH];
     let mut mirror: BTreeSet<(Time, usize)> = BTreeSet::new();
-    let mut sum = 0u64;
-    let mut set = |q: &mut EventQueue<usize>, mirror: &mut BTreeSet<_>, key: usize, at: Time| {
+    let (mut sum, mut now) = (0u64, Time::ZERO);
+    let mut set = |q: &mut hashmap_queue::HashQueue<usize>,
+                   mirror: &mut BTreeSet<_>,
+                   key: usize,
+                   at: Time| {
         if let Some((h, old)) = wake[key] {
             if old == at {
                 return;
@@ -244,10 +194,9 @@ fn wake_event_churn(rounds: usize, ds: &[u64]) -> (usize, u64) {
     }
     for d in &ds[DEPTH..DEPTH + rounds] {
         let key = (*d as usize * 7) % DEPTH;
-        let at = q.now() + cloudlb_sim::Dur::from_us(*d);
-        set(&mut q, &mut mirror, key, at);
+        set(&mut q, &mut mirror, key, now + cloudlb_sim::Dur::from_us(*d));
         let (t, k) = q.pop().expect("pending wake");
-        let k = event(k);
+        now = t;
         let due = mirror.range(..=(t, usize::MAX)).count();
         sum = sum.wrapping_add(k as u64 ^ t.as_us()).wrapping_add(due as u64);
         set(&mut q, &mut mirror, k, t + cloudlb_sim::Dur::from_us(1 + d % 997));
@@ -268,15 +217,11 @@ fn main() {
     let fast = std::env::var("CLOUDLB_FAST").is_ok_and(|v| v != "0");
     let rounds = if fast { 200_000 } else { 1_000_000 };
     let ds = delays(rounds + DEPTH);
-    cloudlb_bench::header("EventQueue microbench — slab vs HashMap slots");
+    cloudlb_bench::header("EventQueue microbench — inline heap vs HashMap slots");
 
-    let (slab_sp, c1) = measure(|| slab_schedule_pop(rounds, &ds));
+    let (queue_sp, c1) = measure(|| queue_schedule_pop(rounds, &ds));
     let (hash_sp, c2) = measure(|| hashmap_schedule_pop(rounds, &ds));
     assert_eq!(c1, c2, "schedule/pop workloads must visit identical events");
-
-    let (slab_cc, c3) = measure(|| slab_cancel_churn(rounds, &ds));
-    let (hash_cc, c4) = measure(|| hashmap_cancel_churn(rounds, &ds));
-    assert_eq!(c3, c4, "cancel-churn workloads must visit identical events");
 
     let (timer_tc, c5) = measure(|| timer_churn(rounds, &ds));
     let (wake_tc, c6) = measure(|| wake_event_churn(rounds, &ds));
@@ -285,27 +230,18 @@ fn main() {
     let record = MicroRecord {
         name: "event_queue".into(),
         rounds,
-        slab_schedule_pop_ops_per_sec: slab_sp,
+        queue_schedule_pop_ops_per_sec: queue_sp,
         hashmap_schedule_pop_ops_per_sec: hash_sp,
-        schedule_pop_speedup: slab_sp / hash_sp,
-        slab_cancel_churn_ops_per_sec: slab_cc,
-        hashmap_cancel_churn_ops_per_sec: hash_cc,
-        cancel_churn_speedup: slab_cc / hash_cc,
+        schedule_pop_speedup: queue_sp / hash_sp,
         timer_churn_ops_per_sec: timer_tc,
         wake_event_churn_ops_per_sec: wake_tc,
         timer_churn_speedup: timer_tc / wake_tc,
     };
     println!(
-        "schedule/pop: slab {:.2} Mops/s vs hashmap {:.2} Mops/s ({:.2}x)",
-        slab_sp / 1e6,
+        "schedule/pop: queue {:.2} Mops/s vs hashmap {:.2} Mops/s ({:.2}x)",
+        queue_sp / 1e6,
         hash_sp / 1e6,
         record.schedule_pop_speedup
-    );
-    println!(
-        "cancel churn: slab {:.2} Mops/s vs hashmap {:.2} Mops/s ({:.2}x)",
-        slab_cc / 1e6,
-        hash_cc / 1e6,
-        record.cancel_churn_speedup
     );
     println!(
         "timer churn: timers {:.2} Mops/s vs wake events {:.2} Mops/s ({:.2}x)",
@@ -317,7 +253,7 @@ fn main() {
     println!("wrote {}", path.display());
     if record.schedule_pop_speedup < 1.2 {
         eprintln!(
-            "WARNING: slab schedule/pop speedup {:.2}x is below the 1.2x target",
+            "WARNING: queue schedule/pop speedup {:.2}x is below the 1.2x target",
             record.schedule_pop_speedup
         );
     }

@@ -55,7 +55,7 @@ use crate::config::{FastForward, RunConfig};
 use crate::lbdb::TaskSample;
 use cloudlb_balance::TaskId;
 use cloudlb_sim::core_sched::{Core, CoreEvent, CoreStat};
-use cloudlb_sim::{BgJobId, Dur, EventHandle, FgLabel, ProcStat, Time};
+use cloudlb_sim::{BgJobId, Dur, FgLabel, ProcStat, Time};
 use cloudlb_trace::Activity;
 use std::collections::VecDeque;
 
@@ -403,7 +403,7 @@ impl<'a> Sim<'a> {
         msgs.clear();
         inbox.clear();
         let mut lb_done = 0;
-        for (_h, at, seq, ev) in self.queue.iter_live() {
+        for (at, seq, ev) in self.queue.events() {
             match *ev {
                 Ev::Msg { chare, iter, epoch, dup: false }
                     if iter == boundary && epoch == self.epoch =>
@@ -625,14 +625,13 @@ impl<'a> Sim<'a> {
         let end = now + t.dur;
         // The in-flight boundary ghosts were verified against the
         // template; their delivery and consumption are baked into it, so
-        // they are cancelled un-popped and credited via `events_skipped`.
-        // The only wakes pending are the background hosts'
-        // (`ff_scan_edge`); they stay.
+        // they are discarded un-popped and credited via `events_skipped`.
+        // The edge scan proved they are the only payload events pending;
+        // the only wakes pending are the background hosts', and they stay.
         let live_before = self.queue.len();
-        let stale: Vec<EventHandle> = self.queue.iter_live().map(|(h, ..)| h).collect();
-        for h in stale {
-            self.queue.cancel(h);
-        }
+        // Bound outside the assert: its operands do not run in release.
+        let discarded = self.queue.discard_events();
+        debug_assert_eq!(discarded, t.start_inflight.len());
         // The wakes the window re-set, as `(set at, core, instant)` in the
         // order the live loop set them: by instant, then by ascending core.
         let mut wakes: VecDeque<(u32, usize, Option<Time>)> = hosts

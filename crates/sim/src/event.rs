@@ -8,52 +8,65 @@
 //! # Storage
 //!
 //! This is the hottest structure in the repo: every simulated message,
-//! wake-up, interference action and LB step passes through it. Payloads
-//! live in a slab (`Vec`-indexed slots recycled through a free-list), so
-//! the schedule/pop cycle costs two array writes and a heap push/pop — no
-//! hashing, no per-event allocation once the slab has warmed up. Each heap
-//! node carries its slot index; cancellation empties the slot and leaves
-//! the heap node behind to be skipped lazily on pop. When stale nodes
-//! outnumber live events the heap is compacted in one O(n) pass, so
-//! cancel-heavy workloads keep the heap proportional to the live event
-//! count.
+//! interference action and LB step passes through it. Payload events live
+//! inline in one binary heap, ordered on `(time, seq)` alone, so the
+//! schedule/pop cycle is one heap push and one heap pop — no hashing, no
+//! side table, no per-event allocation once the heap has warmed up. A
+//! single event is never withdrawn: the only removal besides a pop is
+//! [`EventQueue::discard_events`], which drops every pending payload event
+//! at once (the fast-forward engine does, when it replays a window whose
+//! in-flight ghosts are baked into its template). So an event needs no
+//! handle, and the heap never holds an entry that is not pending.
 //!
 //! # Timers
 //!
 //! Besides payload events the queue holds at most one *timer* per key
 //! (the executor keys them by core: "this core completes something at
 //! `t`"). Pending timers live in an indexed min-heap, so moving one is a
-//! sift in place — no cancel tombstone, no slab slot, no handle. Setting a
-//! timer takes the next sequence number exactly as scheduling an event
-//! does, and [`EventQueue::pop`] fires events and timers together in one
-//! `(time, seq)` order; the counters (`len`, `total_popped`, the peaks)
-//! count a pending timer as one event. A timer that fired keeps its
-//! instant until it is set to another one, and stays *due*
-//! ([`EventQueue::timers_due`]) until then.
+//! sift in place. Setting a timer takes the next sequence number exactly
+//! as scheduling an event does, and [`EventQueue::pop`] fires events and
+//! timers together in one `(time, seq)` order; the counters (`len`,
+//! `total_popped`, the peaks) count a pending timer as one event. A timer
+//! that fired keeps its instant until it is set to another one, and stays
+//! *due* ([`EventQueue::timers_due`]) until then.
 
 use crate::time::Time;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, as returned by [`EventQueue::schedule`].
-///
-/// Handles are invalidated by [`EventQueue::cancel`] and by the event
-/// firing; a stale handle (including one whose slot has been recycled for
-/// a newer event) cancels nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    slot: u32,
+/// A pending payload event. It orders on `(at, seq)` only; `seq` is
+/// unique, so the payload never takes part in an ordering decision.
+#[derive(Debug)]
+struct Entry<E> {
+    at: Time,
     seq: u64,
+    payload: E,
 }
 
-/// One slab slot. `seq` identifies the current (or last) occupant so stale
-/// heap nodes and stale handles can be recognized; `payload` is `None`
-/// while the slot sits on the free-list.
-#[derive(Debug)]
-struct Slot<E> {
-    seq: u64,
-    at: Time,
-    payload: Option<E>,
+impl<E> Entry<E> {
+    fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// What [`EventQueue::pop`] fired.
@@ -86,20 +99,14 @@ struct Timer {
 /// Deterministic event queue with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap over `(time, seq, slot)`. `seq` is globally unique, so the
-    /// slot index never participates in an ordering decision.
-    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    /// Min-heap of the pending payload events.
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
     now: Time,
-    /// Live (scheduled, not yet popped or cancelled) events.
-    live: usize,
     /// Lifetime counters for perf baselines.
-    scheduled: u64,
     popped: u64,
     peak_live: usize,
-    /// High-water mark of live events since the last [`EventQueue::mark_window`].
+    /// High-water mark of pending entries since the last [`EventQueue::mark_window`].
     window_peak: usize,
     /// Min-heap of pending timers as `(time, seq, key)`, indexed by the
     /// keys' [`TimerState::Pending`] positions.
@@ -121,12 +128,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
             now: Time::ZERO,
-            live: 0,
-            scheduled: 0,
             popped: 0,
             peak_live: 0,
             window_peak: 0,
@@ -144,23 +147,12 @@ impl<E> EventQueue<E> {
     /// Schedule `payload` at instant `at`. Scheduling in the past (before
     /// `now`) is a logic error and panics in debug builds; in release it
     /// clamps to `now` to keep time monotonic.
-    pub fn schedule(&mut self, at: Time, payload: E) -> EventHandle {
+    pub fn schedule(&mut self, at: Time, payload: E) {
         debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
         let at = at.max(self.now);
         let seq = self.take_seq();
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Slot { seq, at, payload: Some(payload) };
-                slot
-            }
-            None => {
-                self.slots.push(Slot { seq, at, payload: Some(payload) });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.heap.push(Reverse((at, seq, slot)));
-        self.count_scheduled();
-        EventHandle { slot, seq }
+        self.heap.push(Reverse(Entry { at, seq, payload }));
+        self.raise_peaks();
     }
 
     fn take_seq(&mut self) -> u64 {
@@ -169,17 +161,16 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    fn count_scheduled(&mut self) {
-        self.live += 1;
-        self.scheduled += 1;
-        self.peak_live = self.peak_live.max(self.live);
-        self.window_peak = self.window_peak.max(self.live);
+    fn raise_peaks(&mut self) {
+        let live = self.len();
+        self.peak_live = self.peak_live.max(live);
+        self.window_peak = self.window_peak.max(live);
     }
 
     /// Set `key`'s timer to fire at `at`, or clear it with `None`. Setting
     /// the instant it already holds (pending or fired) is a no-op;
     /// otherwise a pending timer is withdrawn and the new one takes the
-    /// next sequence number, as a cancel followed by a `schedule` would.
+    /// next sequence number, as if it were scheduled afresh.
     /// Like [`EventQueue::schedule`], an instant before `now` is a logic
     /// error (debug) and fires at `now` (release).
     pub fn set_timer(&mut self, key: usize, at: Option<Time>) {
@@ -191,10 +182,7 @@ impl<E> EventQueue<E> {
         }
         match self.timers[key].state {
             TimerState::Clear => {}
-            TimerState::Pending(pos) => {
-                self.remove_pending(pos as usize);
-                self.live -= 1;
-            }
+            TimerState::Pending(pos) => self.remove_pending(pos as usize),
             TimerState::Fired(idx) => {
                 self.fired.swap_remove(idx as usize);
                 if let Some(&moved) = self.fired.get(idx as usize) {
@@ -209,7 +197,7 @@ impl<E> EventQueue<E> {
             self.timers[key].at = at;
             self.timer_heap.push((at.max(self.now), seq, key as u32));
             self.sift_up(self.timer_heap.len() - 1);
-            self.count_scheduled();
+            self.raise_peaks();
         }
     }
 
@@ -298,40 +286,22 @@ impl<E> EventQueue<E> {
         self.timers[node.2 as usize].state = TimerState::Pending(pos as u32);
     }
 
-    /// Cancel a previously scheduled event by the handle `schedule`
-    /// returned. Returns the payload if it had not fired yet. The stale
-    /// heap node is skipped lazily on pop, or swept by compaction once
-    /// stale nodes outnumber live events.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        let slot = self.slots.get_mut(handle.slot as usize)?;
-        if slot.seq != handle.seq {
-            return None; // the slot has been recycled for a newer event
-        }
-        let payload = slot.payload.take()?;
-        self.free.push(handle.slot);
-        self.live -= 1;
-        self.maybe_compact();
-        Some(payload)
-    }
-
     /// Pop the earliest pending event or timer, advancing the clock to its
     /// timestamp. A popped timer stays set, as fired (see
     /// [`EventQueue::timers_due`]).
     pub fn pop(&mut self) -> Option<(Time, Popped<E>)> {
-        let event = self.peek_event();
-        let timer = self.timer_heap.first().map(|&(at, seq, _)| (at, seq));
-        let (at, popped) = match (event, timer) {
+        let timer_first = match (self.heap.peek(), self.timer_heap.first()) {
             (None, None) => return None,
-            (Some(e), Some(t)) if t < e => self.pop_timer(),
-            (None, Some(_)) => self.pop_timer(),
-            _ => {
-                let Some(Reverse((at, _, slot))) = self.heap.pop() else { unreachable!() };
-                let payload = self.slots[slot as usize].payload.take().expect("live slot");
-                self.free.push(slot);
-                (at, Popped::Event(payload))
-            }
+            (Some(Reverse(e)), Some(&(at, seq, _))) => (at, seq) < e.key(),
+            (None, Some(_)) => true,
+            (Some(_), None) => false,
         };
-        self.live -= 1;
+        let (at, popped) = if timer_first {
+            self.pop_timer()
+        } else {
+            let Some(Reverse(Entry { at, payload, .. })) = self.heap.pop() else { unreachable!() };
+            (at, Popped::Event(payload))
+        };
         self.popped += 1;
         self.now = at;
         Some((at, popped))
@@ -345,39 +315,23 @@ impl<E> EventQueue<E> {
         (at, Popped::Timer(key as usize))
     }
 
-    /// `(time, seq)` of the earliest live payload event, discarding the
-    /// stale (cancelled) heap nodes above it.
-    fn peek_event(&mut self) -> Option<(Time, u64)> {
-        while let Some(&Reverse((at, seq, slot))) = self.heap.peek() {
-            let entry = &self.slots[slot as usize];
-            if entry.seq == seq && entry.payload.is_some() {
-                return Some((at, seq));
-            }
-            self.heap.pop();
-        }
-        None
+    /// Drop every pending payload event, un-popped, and return how many
+    /// there were. Timers stay as they are; no sequence number is taken
+    /// and no counter but [`EventQueue::len`] changes.
+    pub fn discard_events(&mut self) -> usize {
+        let n = self.heap.len();
+        self.heap.clear();
+        n
     }
 
-    /// Timestamp of the earliest pending event or timer without popping it.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        let event = self.peek_event().map(|(at, _)| at);
-        let timer = self.timer_heap.first().map(|&(at, ..)| at);
-        event.into_iter().chain(timer).min()
-    }
-
-    /// Number of live (non-cancelled) pending events and timers.
+    /// Number of pending events and timers.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() + self.timer_heap.len()
     }
 
-    /// `true` when no live events remain.
+    /// `true` when no events or timers are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Total events scheduled over the queue's lifetime.
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.len() == 0
     }
 
     /// The sequence number the next [`EventQueue::schedule`] or timer set
@@ -392,21 +346,22 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// High-water mark of live pending events.
+    /// High-water mark of pending events.
     pub fn peak_depth(&self) -> usize {
         self.peak_live
     }
 
-    /// Start a fresh windowed high-water mark at the current live count.
-    /// [`EventQueue::window_peak`] then reports the max live count reached
-    /// since this call. Used by the fast-forward engine to measure how much
-    /// a steady-state window raises queue depth above its starting level.
+    /// Start a fresh windowed high-water mark at the current pending count.
+    /// [`EventQueue::window_peak`] then reports the max pending count
+    /// reached since this call. Used by the fast-forward engine to measure
+    /// how much a steady-state window raises queue depth above its
+    /// starting level.
     pub fn mark_window(&mut self) {
-        self.window_peak = self.live;
+        self.window_peak = self.len();
     }
 
-    /// Max live count since the last [`EventQueue::mark_window`] (or since
-    /// construction, if never marked).
+    /// Max pending count since the last [`EventQueue::mark_window`] (or
+    /// since construction, if never marked).
     pub fn window_peak(&self) -> usize {
         self.window_peak
     }
@@ -419,37 +374,11 @@ impl<E> EventQueue<E> {
         self.peak_live = self.peak_live.max(candidate);
     }
 
-    /// Iterate over every live (scheduled, not yet popped or cancelled)
-    /// payload event as `(handle, time, seq, payload)`, in slab order —
-    /// *not* pop order; sort by `seq` for FIFO-consistent views. The handle
-    /// can be passed to [`EventQueue::cancel`]. Timers are not included
-    /// (see [`EventQueue::pending_timers`]).
-    pub fn iter_live(&self) -> impl Iterator<Item = (EventHandle, Time, u64, &E)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(slot, s)| {
-            s.payload
-                .as_ref()
-                .map(|p| (EventHandle { slot: slot as u32, seq: s.seq }, s.at, s.seq, p))
-        })
-    }
-
-    /// Event-heap nodes currently allocated, live *and* stale. Exposed so the
-    /// compaction regression test can assert cancel churn stays bounded.
-    pub fn heap_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Rebuild the heap without stale nodes once they outnumber the live
-    /// events. Amortized O(1) per cancel: a rebuild costs O(n) and at
-    /// least n/2 cancels must happen before the next one.
-    fn maybe_compact(&mut self) {
-        let events = self.live - self.timer_heap.len();
-        if self.heap.len() > 16 && self.heap.len() - events > events {
-            let slots = &self.slots;
-            self.heap.retain(|&Reverse((_, seq, slot))| {
-                let s = &slots[slot as usize];
-                s.seq == seq && s.payload.is_some()
-            });
-        }
+    /// Every pending payload event as `(time, seq, payload)`, in no
+    /// particular order; sort by `seq` for a FIFO-consistent view. Timers
+    /// are not included (see [`EventQueue::pending_timers`]).
+    pub fn events(&self) -> impl Iterator<Item = (Time, u64, &E)> + '_ {
+        self.heap.iter().map(|Reverse(e)| (e.at, e.seq, &e.payload))
     }
 }
 
@@ -490,63 +419,12 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ties_survive_slot_recycling() {
-        // Slot indices get scrambled by cancels, but ties must still pop
-        // in schedule order (the heap orders on seq, not slot).
-        let mut q = EventQueue::new();
-        let t = Time::from_us(5);
-        let warm: Vec<_> = (0..8).map(|i| q.schedule(t, i)).collect();
-        for h in warm {
-            q.cancel(h);
-        }
-        for i in 100..110 {
-            q.schedule(t, i);
-        }
-        for i in 100..110 {
-            assert_eq!(pop_event(&mut q), i);
-        }
-    }
-
-    #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(Time::from_us(100), ());
         assert_eq!(q.now(), Time::ZERO);
         q.pop();
         assert_eq!(q.now(), Time::from_us(100));
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(Time::from_us(10), "x");
-        q.schedule(Time::from_us(20), "y");
-        assert_eq!(q.cancel(h), Some("x"));
-        assert_eq!(q.cancel(h), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(pop_event(&mut q), "y");
-    }
-
-    #[test]
-    fn stale_handle_to_recycled_slot_cancels_nothing() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(Time::from_us(10), "old");
-        assert_eq!(q.cancel(h), Some("old"));
-        // The freed slot is recycled for a new event; the old handle must
-        // not be able to cancel the new occupant.
-        let h2 = q.schedule(Time::from_us(20), "new");
-        assert_eq!(h.slot, h2.slot, "slot should be recycled");
-        assert_eq!(q.cancel(h), None);
-        assert_eq!(pop_event(&mut q), "new");
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(Time::from_us(10), 1);
-        q.schedule(Time::from_us(25), 2);
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(Time::from_us(25)));
     }
 
     #[test]
@@ -561,78 +439,56 @@ mod tests {
     }
 
     #[test]
-    fn len_and_is_empty_track_cancellations() {
+    fn len_and_is_empty_track_pops_and_discards() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
-        let h = q.schedule(Time::from_us(1), ());
-        assert_eq!(q.len(), 1);
-        q.cancel(h);
+        q.schedule(Time::from_us(1), ());
+        q.schedule(Time::from_us(2), ());
+        q.set_timer(0, Some(Time::from_us(3)));
+        assert_eq!(q.len(), 3);
+        q.pop();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.discard_events(), 1);
+        assert_eq!(q.len(), 1, "the timer stays");
+        assert_eq!(q.pop(), Some((Time::from_us(3), Popped::Timer(0))));
         assert!(q.is_empty());
         assert!(q.pop().is_none());
+        assert_eq!(q.discard_events(), 0);
     }
 
     #[test]
     fn counters_track_traffic() {
         let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..6).map(|i| q.schedule(Time::from_us(i), i)).collect();
-        assert_eq!(q.total_scheduled(), 6);
-        assert_eq!(q.peak_depth(), 6);
-        q.cancel(handles[0]);
-        while q.pop().is_some() {}
-        assert_eq!(q.total_popped(), 5);
+        for i in 0..6 {
+            q.schedule(Time::from_us(i), i);
+        }
+        assert_eq!((q.next_seq(), q.peak_depth()), (6, 6));
+        q.pop();
+        q.pop();
+        assert_eq!(q.discard_events(), 4);
+        assert!(q.pop().is_none());
+        assert_eq!(q.total_popped(), 2, "discarded events never pop");
         assert_eq!(q.peak_depth(), 6, "peak is a high-water mark");
-    }
-
-    #[test]
-    fn heavy_cancel_churn_keeps_the_heap_compact() {
-        // The wake-reschedule pattern: every event that fires causes the
-        // cancellation of another pending one. Without compaction the heap
-        // (and its stale nodes) grows linearly with the total number of
-        // schedules; with it, the heap stays proportional to live events.
-        let mut q = EventQueue::new();
-        let live = 64usize;
-        let mut handles: Vec<EventHandle> = (0..live as u64)
-            .map(|i| q.schedule(Time::from_us(10 + i), i))
-            .collect();
-        for round in 0..10_000u64 {
-            let at = Time::from_us(1_000_000 + round);
-            let victim = (round as usize * 7) % handles.len();
-            q.cancel(handles[victim]);
-            handles[victim] = q.schedule(at, round);
-        }
-        assert_eq!(q.len(), live);
-        assert!(
-            q.heap_len() <= 2 * live + 1,
-            "heap grew to {} nodes for {} live events",
-            q.heap_len(),
-            live
-        );
-        // The slab recycles slots rather than growing with churn.
-        assert!(q.slots.len() <= 2 * live + 1, "slab grew to {}", q.slots.len());
-        // And the queue still drains correctly, in time order.
-        let mut last = Time::ZERO;
-        let mut n = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-            n += 1;
-        }
-        assert_eq!(n, live);
+        assert_eq!(q.next_seq(), 6, "discarding takes no seq");
     }
 
     #[test]
     fn window_peak_tracks_since_mark() {
         let mut q = EventQueue::new();
-        let hs: Vec<_> = (0..4).map(|i| q.schedule(Time::from_us(10 + i), i)).collect();
+        for i in 0..4 {
+            q.schedule(Time::from_us(10 + i), i);
+        }
         assert_eq!(q.window_peak(), 4);
-        q.cancel(hs[0]);
-        q.cancel(hs[1]);
-        q.mark_window(); // live = 2
+        q.pop();
+        q.pop();
+        q.mark_window(); // len = 2
         assert_eq!(q.window_peak(), 2);
         q.schedule(Time::from_us(50), 9);
         assert_eq!(q.window_peak(), 3);
         q.pop();
         assert_eq!(q.window_peak(), 3, "window peak is a high-water mark");
+        q.discard_events();
+        assert_eq!(q.window_peak(), 3, "discarding lowers no mark");
         // The lifetime peak is unaffected by marking.
         assert_eq!(q.peak_depth(), 4);
         q.raise_peak(17);
@@ -642,34 +498,19 @@ mod tests {
     }
 
     #[test]
-    fn iter_live_sees_exactly_the_pending_events() {
+    fn events_sees_exactly_the_pending_events() {
         let mut q = EventQueue::new();
-        let a = q.schedule(Time::from_us(10), "a");
-        let b = q.schedule(Time::from_us(5), "b");
+        q.schedule(Time::from_us(10), "a");
+        q.schedule(Time::from_us(5), "b");
+        q.set_timer(4, Some(Time::from_us(30)));
         q.schedule(Time::from_us(20), "c");
-        q.cancel(b);
-        q.pop(); // pops "a"
-        let mut live: Vec<_> = q.iter_live().map(|(_, t, seq, &p)| (t, seq, p)).collect();
+        q.pop(); // pops "b"
+        let mut live: Vec<_> = q.events().map(|(t, seq, &p)| (t, seq, p)).collect();
         live.sort_by_key(|&(_, seq, _)| seq);
-        assert_eq!(live, vec![(Time::from_us(20), 2, "c")]);
-        // Returned handles are cancellable.
-        let (h, _, _, _) = q.iter_live().next().unwrap();
-        assert_eq!(q.cancel(h), Some("c"));
-        assert!(q.is_empty());
-        assert_eq!(q.cancel(a), None, "popped events yield stale handles");
-    }
-
-    #[test]
-    fn cancel_all_then_reschedule_drains_clean() {
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..100u64).map(|i| q.schedule(Time::from_us(i), i)).collect();
-        for h in handles {
-            assert!(q.cancel(h).is_some());
-        }
-        assert!(q.is_empty());
-        q.schedule(Time::from_us(500), 999);
-        assert_eq!(pop_event(&mut q), 999);
-        assert!(q.pop().is_none());
+        assert_eq!(live, vec![(Time::from_us(10), 0, "a"), (Time::from_us(20), 3, "c")]);
+        assert_eq!(q.discard_events(), 2);
+        assert_eq!(q.events().count(), 0);
+        assert_eq!(q.pop(), Some((Time::from_us(30), Popped::Timer(4))));
     }
 
     #[test]
@@ -681,7 +522,6 @@ mod tests {
         q.schedule(t, "b");
         q.set_timer(1, Some(Time::from_us(2)));
         assert_eq!(q.len(), 4);
-        assert_eq!(q.peek_time(), Some(Time::from_us(2)));
         assert_eq!(q.pop(), Some((Time::from_us(2), Popped::Timer(1))));
         assert_eq!(q.pop(), Some((t, Popped::Event("a"))));
         assert_eq!(q.pop(), Some((t, Popped::Timer(3))));

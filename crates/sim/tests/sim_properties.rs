@@ -3,8 +3,8 @@
 //! external property-test crate).
 
 use cloudlb_sim::core_sched::{Core, FgLabel};
-use cloudlb_sim::{Dur, EventHandle, EventQueue, Popped, PowerModel, SimRng, Time};
-use std::collections::BTreeSet;
+use cloudlb_sim::{Dur, EventQueue, Popped, PowerModel, SimRng, Time};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: usize = 256;
 
@@ -31,72 +31,114 @@ fn event_queue_pops_sorted_and_stable() {
     }
 }
 
-/// Cancelled events never pop; everything else does, exactly once.
+/// `discard_events` drops exactly the pending payload events and keeps
+/// every timer: after random schedules, timer sets and pops, it returns
+/// the number of events still pending, leaves `len` at the pending-timer
+/// count and the sequence counter and lifetime counters where they were,
+/// and every later pop is a timer, in `(time, seq)` order.
 #[test]
-fn event_queue_cancellation() {
+fn event_queue_discard_keeps_timers() {
     let mut rng = SimRng::new(0x00E0_E002);
-    for _ in 0..CASES {
-        let len = rng.range_u64(1, 100) as usize;
-        let times: Vec<u64> = (0..len).map(|_| rng.below(1_000)).collect();
-        let cancel_mask: Vec<bool> = (0..len).map(|_| rng.below(2) == 0).collect();
-        let mut q = EventQueue::new();
-        let handles: Vec<cloudlb_sim::EventHandle> =
-            times.iter().enumerate().map(|(i, &t)| q.schedule(Time::from_us(t), i)).collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (h, &c) in handles.iter().zip(&cancel_mask) {
-            if c && q.cancel(*h).is_some() {
-                cancelled.insert(*h);
+    for case in 0..CASES {
+        let keys = rng.range_u64(1, 12) as usize;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut events = 0usize;
+        for op in 0..rng.range_u64(1, 200) {
+            let at = q.now() + Dur::from_us(rng.below(50));
+            match rng.below(5) {
+                0 | 1 => {
+                    q.schedule(at, op);
+                    events += 1;
+                }
+                2 | 3 => {
+                    let key = rng.below(keys as u64) as usize;
+                    q.set_timer(key, (rng.below(4) != 0).then_some(at));
+                }
+                _ => {
+                    if let Some((_, Popped::Event(_))) = q.pop() {
+                        events -= 1;
+                    }
+                }
             }
         }
-        let mut popped = 0usize;
-        while q.pop().is_some() {
-            popped += 1;
+        let timers = q.pending_timers().count();
+        assert_eq!(q.len(), events + timers, "case {case}: len before");
+        let (seq, peak, popped) = (q.next_seq(), q.peak_depth(), q.total_popped());
+        assert_eq!(q.discard_events(), events, "case {case}: discarded");
+        assert_eq!(q.len(), timers, "case {case}: len after");
+        assert_eq!((q.next_seq(), q.peak_depth(), q.total_popped()), (seq, peak, popped));
+        let mut last = None;
+        let mut fired = 0;
+        while let Some((t, popped)) = q.pop() {
+            let Popped::Timer(_) = popped else { panic!("case {case}: an event survived") };
+            assert!(last.is_none_or(|l| l <= t), "case {case}: timers out of order");
+            last = Some(t);
+            fired += 1;
         }
-        assert_eq!(popped, times.len() - cancelled.len());
+        assert_eq!(fired, timers, "case {case}: every timer fires");
     }
 }
 
-/// Reference encoding of per-key timers: each timer is a cancellable
-/// event, with a `BTreeSet` of `(instant, key)` mirroring every timer that
-/// is pending or fired-and-not-since-set, the way the executor kept its
-/// per-core wakes before timers moved into the queue.
-struct WakeModel {
-    q: EventQueue<Result<u64, usize>>,
-    wake: Vec<Option<(EventHandle, Time)>>,
+/// Reference queue for per-key timers, independent of `EventQueue`: one
+/// `BTreeMap` keyed by `(instant, seq)` holding events (`Ok`) and timers
+/// (`Err(key)`) under its own sequence counter and counters, each timer
+/// moved by removing its entry and inserting a fresh one, and a
+/// `BTreeSet` of `(instant, key)` mirroring every timer that is pending or
+/// fired-and-not-since-set.
+#[derive(Default)]
+struct QueueModel {
+    pending: BTreeMap<(Time, u64), Result<u64, usize>>,
+    /// Per key: the instant its timer is set to and the seq it took.
+    timer: Vec<Option<(Time, u64)>>,
     due: BTreeSet<(Time, usize)>,
+    next_seq: u64,
+    popped: u64,
+    peak: usize,
 }
 
-impl WakeModel {
+impl QueueModel {
+    fn push(&mut self, at: Time, entry: Result<u64, usize>) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.pending.insert((at, seq), entry);
+        self.peak = self.peak.max(self.pending.len());
+        seq
+    }
+
     fn set(&mut self, key: usize, at: Option<Time>) {
-        match (self.wake[key], at) {
-            (Some((_, old)), Some(new)) if old == new => {}
-            (None, None) => {}
-            (old, new) => {
-                if let Some((h, old)) = old {
-                    self.q.cancel(h);
-                    self.due.remove(&(old, key));
-                }
-                if let Some(t) = new {
-                    self.due.insert((t, key));
-                }
-                self.wake[key] = new.map(|t| (self.q.schedule(t, Err(key)), t));
-            }
+        let old = self.timer[key];
+        if old.map(|(t, _)| t) == at {
+            return;
         }
+        if let Some((t, seq)) = old {
+            // A no-op when the timer already fired.
+            self.pending.remove(&(t, seq));
+            self.due.remove(&(t, key));
+        }
+        self.timer[key] = at.map(|t| {
+            self.due.insert((t, key));
+            (t, self.push(t, Err(key)))
+        });
+    }
+
+    fn pop(&mut self) -> Option<(Time, Popped<u64>)> {
+        let ((t, _), entry) = self.pending.pop_first()?;
+        self.popped += 1;
+        Some((t, entry.map_or_else(Popped::Timer, Popped::Event)))
     }
 }
 
-/// Timers in the queue behave exactly like the cancel-and-reschedule
-/// encoding they replace: the same pops in the same order, the same
-/// counters, and the same due keys at every instant, under random mixes
-/// of schedules, timer sets, moves, clears and pops.
+/// The queue matches the reference model: the same pops in the same
+/// order, the same sequence counter and counters, and the same due keys
+/// at every instant, under random mixes of schedules, timer sets, moves,
+/// clears and pops.
 #[test]
-fn timers_match_the_cancellable_wake_encoding() {
+fn event_queue_matches_the_reference_model() {
     let mut rng = SimRng::new(0x00E0_E007);
     for case in 0..CASES {
         let keys = rng.range_u64(1, 12) as usize;
         let mut q: EventQueue<u64> = EventQueue::new();
-        let mut model =
-            WakeModel { q: EventQueue::new(), wake: vec![None; keys], due: BTreeSet::new() };
+        let mut model = QueueModel { timer: vec![None; keys], ..Default::default() };
         let (mut due, mut want_due) = (Vec::new(), Vec::new());
         for op in 0..400u64 {
             let now = q.now();
@@ -104,7 +146,7 @@ fn timers_match_the_cancellable_wake_encoding() {
                 0..=2 => {
                     let at = now + Dur::from_us(rng.below(50));
                     q.schedule(at, op);
-                    model.q.schedule(at, Ok(op));
+                    model.push(at, Ok(op));
                 }
                 3..=5 => {
                     let key = rng.below(keys as u64) as usize;
@@ -118,19 +160,12 @@ fn timers_match_the_cancellable_wake_encoding() {
                     q.set_timer(key, at);
                     model.set(key, at);
                 }
-                _ => {
-                    let got = q.pop();
-                    let want = model.q.pop().map(|(t, p)| match p {
-                        Popped::Event(Ok(m)) => (t, Popped::Event(m)),
-                        Popped::Event(Err(key)) => (t, Popped::Timer(key)),
-                        Popped::Timer(_) => unreachable!("the model sets no timers"),
-                    });
-                    assert_eq!(got, want, "case {case} op {op}: pop");
-                }
+                _ => assert_eq!(q.pop(), model.pop(), "case {case} op {op}: pop"),
             }
-            assert_eq!(q.len(), model.q.len(), "case {case} op {op}: len");
-            assert_eq!(q.total_popped(), model.q.total_popped(), "case {case} op {op}");
-            assert_eq!(q.peak_depth(), model.q.peak_depth(), "case {case} op {op}: peak");
+            assert_eq!(q.len(), model.pending.len(), "case {case} op {op}: len");
+            assert_eq!(q.next_seq(), model.next_seq, "case {case} op {op}: seq");
+            assert_eq!(q.total_popped(), model.popped, "case {case} op {op}");
+            assert_eq!(q.peak_depth(), model.peak, "case {case} op {op}: peak");
             let now = q.now();
             q.timers_due(now, &mut due);
             due.sort_unstable();
