@@ -1,15 +1,16 @@
 //! PERF — the streaming sweep pipeline vs the chunked schedule.
 //!
-//! Measures the packet-based generator→simulate→reduce engine
+//! Measures the shared-source sweep engine
 //! (`cloudlb_core::pipeline_stream`) on four arms and writes
 //! `BENCH_pipeline.json`:
 //!
 //! 1. the real Jacobi2D/Wave2D/Mol3D cell matrix through
 //!    `evaluate_cells_stream` (events/s, cells/s, pool utilization,
 //!    reorder and live-results high-water marks);
-//! 2. a packet-identical `par_map`-vs-`pipeline_map` A/B over real runs,
-//!    **failing (exit 1)** if the results are not bit-identical or the
-//!    pipeline falls below 0.9× `par_map` on uniform work;
+//! 2. a packet-identical A/B of `pipeline_map` against the bench's
+//!    claim-per-index reference pool over real runs, **failing (exit 1)**
+//!    if the results are not bit-identical or the pipeline falls below
+//!    0.9× the reference pool on uniform work;
 //! 3. a skewed profile — one Mol3D-heavy straggler per 16 uniform cells —
 //!    with measured per-packet costs replayed as timed waits, **failing**
 //!    if the pipeline does not beat the chunked barrier schedule by

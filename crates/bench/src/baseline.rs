@@ -132,21 +132,22 @@ pub struct ScaleRecord {
 }
 
 /// One streaming-pipeline bench run (`BENCH_pipeline.json`): the
-/// packet-based sweep engine measured against the chunked `par_map`
-/// substrate it replaced, plus the memory-bound evidence the engine
-/// exists to provide.
+/// packet-based sweep engine measured against the bench's reference
+/// pool (claim-per-index, fully materialized) and the chunked schedule
+/// it replaced, plus the memory-bound evidence the engine exists to
+/// provide.
 ///
 /// Four arms:
 /// 1. **uniform** — the real Jacobi2D cell matrix through
 ///    [`cloudlb_core::evaluate_cells_stream`] (throughput, utilization,
 ///    reorder/live high-water marks) plus a packet-identical
-///    `par_map`-vs-`pipeline_map` A/B over real runs, gated on
+///    reference-pool-vs-`pipeline_map` A/B over real runs, gated on
 ///    bit-identical results and on the pipeline staying within noise of
-///    `par_map`;
+///    the reference pool;
 /// 2. **skew replay** — one Mol3D-heavy straggler per 16 uniform cells;
 ///    per-packet costs are *measured* on real runs, then replayed as
 ///    timed waits so the arm benchmarks the scheduler (chunked barrier
-///    vs streaming work-stealing) rather than the host's core count.
+///    vs the streaming pool) rather than the host's core count.
 ///    Gated at ≥ 1.3× over the chunked schedule;
 /// 3. **skew real** — the same skewed profile over real simulator runs,
 ///    informational: on a single-core host both schedules serialize to
@@ -186,17 +187,15 @@ pub struct PipelineRecord {
     /// The memory bound: `jobs + reorder window`. Every arm's
     /// `live_peak` is gated ≤ this.
     pub live_bound: usize,
-    /// Packets claimed straight from the injector (uniform arm).
-    pub injector_claims: u64,
-    /// Packets stolen from sibling workers (uniform arm).
-    pub steals: u64,
-    /// Real runs in the `par_map`-vs-`pipeline_map` A/B.
+    /// Real runs in the reference-pool-vs-`pipeline_map` A/B.
     pub uniform_runs: usize,
-    /// Best-of-2 wall-clock of `par_map` over those runs, seconds.
+    /// Best-of-5 wall-clock of the reference pool over those runs,
+    /// seconds (the key keeps its historical name so checked-in
+    /// baselines stay comparable).
     pub uniform_par_map_wall_s: f64,
-    /// Best-of-2 wall-clock of `pipeline_map` over the same runs.
+    /// Best-of-5 wall-clock of `pipeline_map` over the same runs.
     pub uniform_pipeline_wall_s: f64,
-    /// `par_map / pipeline` wall ratio (≥ 1 = pipeline at least
+    /// `reference pool / pipeline` wall ratio (≥ 1 = pipeline at least
     /// matches). Gated ≥ 0.9 (within noise); typically ≥ 1.0.
     pub uniform_ratio: f64,
     /// The two A/B arms produced bit-identical `RunResult`s (a record
@@ -221,8 +220,8 @@ pub struct PipelineRecord {
     pub skew_pipeline_wall_s: f64,
     /// `chunked / pipeline` replay ratio — gated ≥ 1.3.
     pub skew_ratio: f64,
-    /// Replay wall under unchunked `par_map` (informational: dynamic
-    /// claiming already dodges the straggler, at O(n) memory).
+    /// Replay wall under the unchunked reference pool (informational:
+    /// dynamic claiming already dodges the straggler, at O(n) memory).
     pub skew_unchunked_wall_s: f64,
     /// `unchunked / pipeline` replay ratio (informational).
     pub skew_unchunked_ratio: f64,
@@ -435,8 +434,6 @@ mod tests {
             reorder_peak: 5,
             live_peak: 9,
             live_bound: 20,
-            injector_claims: 12,
-            steals: 3,
             uniform_runs: 32,
             uniform_par_map_wall_s: 0.21,
             uniform_pipeline_wall_s: 0.20,

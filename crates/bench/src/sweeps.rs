@@ -6,11 +6,19 @@ use crate::Settings;
 use cloudlb_apps::grids::{near_square_factors, Block2D};
 use cloudlb_apps::Jacobi2D;
 use cloudlb_core::{
-    evaluate_cells, evaluate_cells_stream, par_map, pipeline_map, pipeline_stream,
-    run_scenario, CellSpec, PipelineConfig, Scenario,
+    evaluate_cells, evaluate_cells_stream, pipeline_map, pipeline_stream, run_scenario, CellSpec,
+    PipelineConfig, Scenario,
 };
 use cloudlb_runtime::{FastForward, RunResult, SimExecutor};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Run every scenario through the sweep engine on `jobs` workers,
+/// results in submission order.
+fn run_all(jobs: usize, scenarios: Vec<Scenario>) -> Vec<RunResult> {
+    pipeline_map(&PipelineConfig::new(jobs), scenarios, |scn| run_scenario(&scn)).0
+}
 
 /// The paper-sweep throughput baseline (`BENCH_fast.json` /
 /// `BENCH_sweep.json`): the full Fig. 2 / Fig. 4 matrix through the
@@ -70,7 +78,7 @@ pub fn perf_sweep(s: &Settings) -> SweepRecord {
         .collect();
     let probe_runs = probe.len();
     let t1 = Instant::now();
-    let results = par_map(s.jobs, probe, |scn| run_scenario(&scn));
+    let results = run_all(s.jobs, probe);
     let flaky_wall_s = t1.elapsed().as_secs_f64();
     let flaky_events: u64 = results.iter().map(|r| r.sim_events).sum();
     let flaky_events_per_sec = flaky_events as f64 / flaky_wall_s;
@@ -101,7 +109,7 @@ pub fn perf_sweep(s: &Settings) -> SweepRecord {
         .collect();
     let storm_runs = storm.len();
     let t2 = Instant::now();
-    let results = par_map(s.jobs, storm, |scn| run_scenario(&scn));
+    let results = run_all(s.jobs, storm);
     let storm_wall_s = t2.elapsed().as_secs_f64();
     let storm_events: u64 = results.iter().map(|r| r.sim_events).sum();
     let storm_events_per_sec = storm_events as f64 / storm_wall_s;
@@ -163,7 +171,7 @@ fn ff_scenarios(s: &Settings, iterations: usize, ff: FastForward) -> Vec<Scenari
 
 fn ff_run(s: &Settings, iterations: usize, ff: FastForward) -> (Vec<RunResult>, f64) {
     let t0 = Instant::now();
-    let results = par_map(s.jobs, ff_scenarios(s, iterations, ff), |scn| run_scenario(&scn));
+    let results = run_all(s.jobs, ff_scenarios(s, iterations, ff));
     (results, t0.elapsed().as_secs_f64())
 }
 
@@ -273,8 +281,8 @@ pub fn fastforward_interfered(s: &Settings) -> Result<(), String> {
         }
         out
     };
-    let off = par_map(s.jobs, scenarios(FastForward::Off), |scn| run_scenario(&scn));
-    let on = par_map(s.jobs, scenarios(FastForward::On), |scn| run_scenario(&scn));
+    let off = run_all(s.jobs, scenarios(FastForward::Off));
+    let on = run_all(s.jobs, scenarios(FastForward::On));
     let runs = on.len();
     let (mut ff_windows, mut skipped, mut events) = (0, 0, 0);
     let mut failures = Vec::new();
@@ -324,18 +332,49 @@ fn median_of_3(mut f: impl FnMut() -> f64) -> f64 {
     w[1]
 }
 
+/// The bench's reference pool: `jobs` workers claim items by index off
+/// one atomic cursor and drop each result into its submission slot — no
+/// credit window, no reorder buffer, every input and result resident at
+/// once. The uniform A/B times the sweep engine against it, and the skew
+/// arms build their chunked and unchunked schedules on it.
+fn reference_pool<T: Send, R: Send>(
+    jobs: usize,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = work.get(i) else { break };
+                let item = slot.lock().expect("work slot poisoned").take();
+                let out = f(item.expect("each slot is claimed once"));
+                *results[i].lock().expect("result slot poisoned") = Some(out);
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.into_inner().expect("result slot poisoned").expect("every slot is filled"))
+        .collect()
+}
+
 /// The chunked-barrier schedule the pipeline replaced: process packets
-/// `SKEW_GROUP` at a time through `par_map`, joining the pool between
+/// `SKEW_GROUP` at a time through the reference pool, joining it between
 /// chunks. Memory-bounded like the pipeline (≤ one chunk of results
 /// resident), but every straggler parks the whole pool at its barrier.
-fn chunked_par_map<T: Send + Clone, R: Send>(
+fn chunked<T: Send + Clone, R: Send>(
     jobs: usize,
     items: &[T],
     f: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
     let mut out = Vec::with_capacity(items.len());
     for chunk in items.chunks(SKEW_GROUP) {
-        out.extend(par_map(jobs, chunk.to_vec(), &f));
+        out.extend(reference_pool(jobs, chunk.to_vec(), &f));
     }
     out
 }
@@ -358,7 +397,8 @@ fn skew_straggler_scenario(iterations: usize, seed: u64) -> Scenario {
 
 /// The streaming-pipeline bench behind `BENCH_pipeline.json`: throughput,
 /// utilization and memory-bound telemetry for the packet-based sweep
-/// engine, gated against the chunked `par_map` schedule it replaced.
+/// engine, gated against the bench's reference pool and the chunked
+/// schedule it replaced.
 /// `Err` carries the first failed gate — callers exit non-zero on it.
 ///
 /// The skew gate (≥ 1.3× over the chunked barrier on a one-straggler-in-
@@ -404,11 +444,9 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
     let cells_per_sec = points as f64 / stats.wall_s;
     println!(
         "uniform: {} cells ({} runs) in {:.2}s — {:.0} events/s, {:.1} cells/s, \
-         utilization {:.2}, reorder peak {}, live peak {} (bound {}), \
-         {} injector claims, {} steals",
+         utilization {:.2}, reorder peak {}, live peak {} (bound {})",
         points, stats.packets, stats.wall_s, events_per_sec, cells_per_sec,
-        stats.utilization, stats.reorder_peak, stats.live_peak, live_bound,
-        stats.injector_claims, stats.steals
+        stats.utilization, stats.reorder_peak, stats.live_peak, live_bound
     );
     if stats.live_peak > live_bound {
         return Err(format!(
@@ -417,43 +455,45 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
         ));
     }
 
-    // --- Uniform A/B: identical real packets through both substrates.
+    // --- Uniform A/B: identical real packets through the reference pool
+    // and the sweep engine.
     let uniform_runs = if s.fast { 32 } else { 64 };
     let ab: Vec<Scenario> =
         (0..uniform_runs).map(|i| skew_uniform_scenario(s, 1 + i as u64)).collect();
-    // Reps alternate par_map / pipeline so drifting background load hits
-    // both sides of the A/B symmetrically; each side keeps its best rep.
-    // 5 reps: the gated ratio sits near 1.0 by design, so a single noisy
-    // rep on one side must not be able to drag the min under the gate.
-    let mut par_results = Vec::new();
+    // Reps alternate reference pool / pipeline so drifting background
+    // load hits both sides of the A/B symmetrically; each side keeps its
+    // best rep. 5 reps: the gated ratio sits near 1.0 by design, so a
+    // single noisy rep on one side must not be able to drag the min under
+    // the gate.
+    let mut ref_results = Vec::new();
     let mut pipe_results = Vec::new();
     let mut uniform_par_map_wall_s = f64::INFINITY;
     let mut uniform_pipeline_wall_s = f64::INFINITY;
     for _ in 0..5 {
-        let (r, w) = timed(|| par_map(jobs, ab.clone(), |scn| run_scenario(&scn)));
-        par_results = r;
+        let (r, w) = timed(|| reference_pool(jobs, ab.clone(), |scn| run_scenario(&scn)));
+        ref_results = r;
         uniform_par_map_wall_s = uniform_par_map_wall_s.min(w);
         let ((r, _), w) = timed(|| pipeline_map(&cfg, ab.clone(), |scn| run_scenario(&scn)));
         pipe_results = r;
         uniform_pipeline_wall_s = uniform_pipeline_wall_s.min(w);
     }
-    if par_results != pipe_results {
+    if ref_results != pipe_results {
         return Err(
-            "uniform A/B: pipeline_map results diverged from par_map on \
-             identical packets"
+            "uniform A/B: pipeline_map results diverged from the reference pool \
+             on identical packets"
                 .to_string(),
         );
     }
     let uniform_ratio = uniform_par_map_wall_s / uniform_pipeline_wall_s;
     println!(
-        "uniform A/B: {uniform_runs} runs — par_map {uniform_par_map_wall_s:.3}s, \
+        "uniform A/B: {uniform_runs} runs — reference pool {uniform_par_map_wall_s:.3}s, \
          pipeline {uniform_pipeline_wall_s:.3}s, ratio {uniform_ratio:.2}x \
          (bit-identical results)"
     );
     if uniform_ratio < 0.9 {
         return Err(format!(
-            "uniform A/B: pipeline is {uniform_ratio:.2}x of par_map on uniform \
-             packets (allowed ≥ 0.9x)"
+            "uniform A/B: pipeline is {uniform_ratio:.2}x of the reference pool \
+             on uniform packets (allowed ≥ 0.9x)"
         ));
     }
 
@@ -498,18 +538,18 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
         skew_chunked_wall_s = skew_chunked_wall_s
-            .min(timed(|| chunked_par_map(jobs, &replay_packets, replay)).1);
+            .min(timed(|| chunked(jobs, &replay_packets, replay)).1);
         skew_pipeline_wall_s = skew_pipeline_wall_s
             .min(timed(|| pipeline_map(&cfg, replay_packets.clone(), replay)).1);
-        skew_unchunked_wall_s =
-            skew_unchunked_wall_s.min(timed(|| par_map(jobs, replay_packets.clone(), replay)).1);
+        skew_unchunked_wall_s = skew_unchunked_wall_s
+            .min(timed(|| reference_pool(jobs, replay_packets.clone(), replay)).1);
     }
     let skew_ratio = skew_chunked_wall_s / skew_pipeline_wall_s;
     let skew_unchunked_ratio = skew_unchunked_wall_s / skew_pipeline_wall_s;
     println!(
         "skew replay: {} packets ({} groups of {SKEW_GROUP}) — chunked \
          {skew_chunked_wall_s:.2}s, pipeline {skew_pipeline_wall_s:.2}s \
-         ({skew_ratio:.2}x), unchunked par_map {skew_unchunked_wall_s:.2}s \
+         ({skew_ratio:.2}x), unchunked {skew_unchunked_wall_s:.2}s \
          ({skew_unchunked_ratio:.2}x, informational)",
         replay_packets.len(),
         skew_groups
@@ -534,7 +574,7 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
         })
         .collect();
     let skew_real_chunked_wall_s = best_of(3, || {
-        timed(|| chunked_par_map(jobs, &real_packets, |scn| run_scenario(&scn))).1
+        timed(|| chunked(jobs, &real_packets, |scn| run_scenario(&scn))).1
     });
     let skew_real_pipeline_wall_s = best_of(3, || {
         timed(|| pipeline_map(&cfg, real_packets.clone(), |scn| run_scenario(&scn))).1
@@ -585,8 +625,6 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
         reorder_peak: stats.reorder_peak,
         live_peak: stats.live_peak,
         live_bound,
-        injector_claims: stats.injector_claims,
-        steals: stats.steals,
         uniform_runs,
         uniform_par_map_wall_s,
         uniform_pipeline_wall_s,

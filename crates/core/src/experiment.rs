@@ -15,7 +15,7 @@
 //!
 //! Every `(app, cores, arm, seed)` run is an independent deterministic
 //! simulation, so [`evaluate_cells`] streams whole matrices through the
-//! [`crate::pipeline`] work-stealing pipeline as sequence-numbered
+//! [`crate::pipeline`] shared-source pool as sequence-numbered
 //! packets. Results come back in submission order and are reduced with
 //! exactly the serial code's fold, so averaged [`EvalPoint`]s are
 //! bit-identical for any worker count (see `tests/parallel_sweep.rs`
@@ -23,8 +23,7 @@
 //! the same sweep with O(jobs + reorder window) peak live runs for
 //! studies too large to materialize.
 
-use crate::parallel::default_jobs;
-use crate::pipeline::{pipeline_stream, PipelineConfig, PipelineStats};
+use crate::pipeline::{default_jobs, pipeline_stream, PipelineConfig, PipelineStats};
 use crate::scenario::Scenario;
 use cloudlb_runtime::{FastForward, RunResult, RuntimeError, SimExecutor};
 use cloudlb_sim::stats::mean;
@@ -258,7 +257,7 @@ impl CellSpec {
 
 /// Evaluate many cells at once through the streaming pipeline (see
 /// [`crate::pipeline`]): every `(cell, seed, arm)` run is a packet
-/// fanned out over `jobs` work-stealing workers, and finished runs are
+/// fanned out over `jobs` pool workers, and finished runs are
 /// folded per cell in seed order as they stream back. This is the
 /// `collect_all` path — it materializes one [`EvalPoint`] per cell (but
 /// never more than O(jobs + reorder window) `RunResult`s). Bit-identical
@@ -428,7 +427,7 @@ impl CellReducer {
 /// `lb_strategy` is the balanced arm's registry name (the paper's scheme
 /// is `cloudrefine`; ablations swap in others). `iterations` scales run
 /// length (the figures use 100). Runs are spread across
-/// [`crate::parallel::default_jobs`] workers (`CLOUDLB_JOBS` / `--jobs`);
+/// [`crate::pipeline::default_jobs`] workers (`CLOUDLB_JOBS` / `--jobs`);
 /// the result is bit-identical for any worker count.
 pub fn evaluate(
     app: &str,

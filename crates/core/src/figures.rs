@@ -88,7 +88,7 @@ pub fn fig1(iterations: usize) -> Fig1Output {
 
 /// Run the Fig. 2 / Fig. 4 matrix for one application over the given core
 /// counts. All `(cores, arm, seed)` runs of the matrix are flattened into
-/// one fan-out over [`crate::parallel::default_jobs`] workers, so a wide
+/// one fan-out over [`crate::pipeline::default_jobs`] workers, so a wide
 /// matrix saturates the pool rather than parallelizing cell by cell.
 pub fn eval_matrix(
     app: &str,
@@ -97,7 +97,7 @@ pub fn eval_matrix(
     seeds: &[u64],
 ) -> Vec<EvalPoint> {
     let cells = matrix_cells(app, cores, iterations);
-    crate::experiment::evaluate_cells(&cells, seeds, crate::parallel::default_jobs())
+    crate::experiment::evaluate_cells(&cells, seeds, crate::pipeline::default_jobs())
 }
 
 /// One paper cell (`cloudrefine` balanced arm) per core count.

@@ -10,16 +10,15 @@
 //!   averages seeds, and computes the paper's metrics: timing penalty,
 //!   background-job penalty, average node power, normalized energy
 //!   overhead;
-//! * [`parallel`] — the deterministic work pool that fans independent
-//!   `(app, cores, arm, seed)` runs across `CLOUDLB_JOBS`/`--jobs`
-//!   workers with bit-identical results;
+//! * [`pipeline`] — the sweep engine: a shared-source pool that streams
+//!   independent `(app, cores, arm, seed)` runs across
+//!   `CLOUDLB_JOBS`/`--jobs` workers with bit-identical results;
 //! * [`figures`] — one driver per paper artifact (Figures 1–4) returning
 //!   structured series plus rendered tables/timelines;
 //! * [`report`] — markdown/CSV table formatting shared by the harness.
 
 pub mod experiment;
 pub mod figures;
-pub mod parallel;
 pub mod pipeline;
 pub mod report;
 pub mod scenario;
@@ -29,7 +28,6 @@ pub use experiment::{
     evaluate, evaluate_cells, evaluate_cells_stream, impacts, run_scenario, try_run_scenario,
     CellSpec, EvalPoint, Impact, Layer,
 };
-pub use parallel::{default_jobs, par_map};
-pub use pipeline::{pipeline_map, pipeline_stream, PipelineConfig, PipelineStats};
+pub use pipeline::{default_jobs, pipeline_map, pipeline_stream, PipelineConfig, PipelineStats};
 pub use scenario::{BgPattern, FailSpec, Scenario};
 pub use stream_agg::StreamSummary;

@@ -1,49 +1,81 @@
-//! Packet-based streaming sweep pipeline: generator → simulate → reduce.
+//! The sweep engine: a shared-source pool with an order-restoring reducer.
 //!
-//! [`par_map`](crate::parallel::par_map) fans a *materialized* `Vec` of
-//! jobs over worker threads and hands back a *materialized* `Vec` of
-//! results — fine for a figure matrix, hopeless for a million-cell
-//! parameter study where the Vec-of-everything is the memory bound. This
-//! module reworks the sweep substrate as a three-stage pipeline of
-//! sequence-numbered **packets**:
+//! Every packet of a sweep is a whole independent simulation, milliseconds
+//! long, so the sweep is embarrassingly parallel: workers pull the next
+//! packet from one shared source, and one lock per claim costs nothing
+//! measurable. The source is a *lazy* iterator, so a million-cell
+//! parameter study never materializes its inputs or its results:
 //!
 //! ```text
-//!  generator ──bounded injector──▶ simulate workers ──mpsc──▶ reducer
-//!  (lazy iterator,                 (work-stealing deque       (reorder buffer,
-//!   credit-throttled)              per worker, steal-half)     submission order)
+//!  Mutex<Source> ──claim (seq, item)──▶ workers ──mpsc──▶ reducer
+//!  (lazy iterator,                      (run f)           (reorder buffer,
+//!   credit-throttled)                                      submission order)
 //! ```
 //!
-//! * The **generator** drains a lazy iterator on its own thread and
-//!   pushes `(seq, item)` packets into a shared injector queue. It is
-//!   throttled by a credit counter: at most `window = jobs +
-//!   reorder_window` packets may be in flight (issued but not yet
-//!   consumed in submission order), which is what bounds every queue,
-//!   the reorder buffer, and the number of live results — O(workers +
-//!   reorder window) regardless of sweep size.
-//! * Each **simulate worker** owns a deque. It pops local work first,
-//!   claims half the injector when empty, and steals half a sibling's
-//!   deque when the injector is dry — so one slow Mol3D cell keeps
-//!   exactly one worker busy while its siblings drain the rest of the
-//!   sweep.
-//! * The **reducer** runs on the calling thread. Results arrive over an
-//!   mpsc channel in completion order and are reassembled into strict
-//!   submission order through a small reorder buffer, so the consumer
-//!   callback observes exactly the serial fold — bit-identical results
-//!   for any worker count, the same guarantee `par_map` gives (see
-//!   `tests/parallel_sweep.rs` and `tests/pipeline_stream.rs`).
+//! * A **worker** waits for a credit, then claims the next `(seq, item)`
+//!   packet in the same critical section, runs the map function on it and
+//!   sends the result to the reducer. At most `window = jobs +
+//!   reorder_window` packets may be claimed but not yet consumed, which
+//!   bounds the source cursor, the reorder buffer and the number of live
+//!   results — O(workers + reorder window) regardless of sweep size.
+//! * The **reducer** runs on the calling thread. Results arrive in
+//!   completion order and are reassembled into strict submission order
+//!   through a small reorder buffer, so the consumer callback observes
+//!   exactly the serial fold — bit-identical results for any worker count
+//!   (see `tests/parallel_sweep.rs` and `tests/pipeline_stream.rs`). Each
+//!   burst of consumed packets hands its credits back under one lock.
 //!
-//! `jobs <= 1` short-circuits to a plain serial loop on the calling
-//! thread: generator, map and consumer run inline, byte-for-byte the
-//! serial path.
+//! A panic in the source, a worker or the consumer marks the run aborted
+//! and wakes every waiting worker, so it propagates to the caller instead
+//! of hanging. `jobs <= 1` short-circuits to a plain serial loop on the
+//! calling thread, byte-for-byte the serial path.
 //!
-//! There are no external dependencies — everything is `std` scoped
-//! threads, mutexes and channels, like the rest of the workspace.
+//! The worker count comes from, in order of precedence: an explicit
+//! `jobs` argument (the CLI's `--jobs`), the `CLOUDLB_JOBS` environment
+//! variable, then [`std::thread::available_parallelism`] — see
+//! [`default_jobs`]. There are no external dependencies — everything is
+//! `std` scoped threads, one mutex and one channel.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+/// Resolve the worker count: `CLOUDLB_JOBS` if set (must be a positive
+/// integer), otherwise the machine's available parallelism.
+///
+/// The environment is read **once** and cached for the life of the
+/// process — CLIs that honour a `--jobs` flag set `CLOUDLB_JOBS` before
+/// the first call (see `src/main.rs`), and every later call sees the
+/// same answer. A value of `0` or garbage is rejected with a warning on
+/// stderr and falls back to the machine's parallelism instead of
+/// silently clamping (or panicking) deep inside a sweep.
+pub fn default_jobs() -> usize {
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| {
+        let fallback = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        match std::env::var("CLOUDLB_JOBS") {
+            Ok(v) => match v.trim().parse::<usize>() {
+                Ok(jobs) if jobs >= 1 => jobs,
+                Ok(_) => {
+                    eprintln!(
+                        "warning: CLOUDLB_JOBS=0 is not a valid worker count; \
+                         using available parallelism instead"
+                    );
+                    fallback()
+                }
+                Err(_) => {
+                    eprintln!(
+                        "warning: CLOUDLB_JOBS={v:?} is not a positive integer; \
+                         using available parallelism instead"
+                    );
+                    fallback()
+                }
+            },
+            Err(_) => fallback(),
+        }
+    })
+}
 
 /// Shape of the pipeline: worker count plus the reorder slack that lets
 /// the pool run ahead of a slow packet.
@@ -96,9 +128,11 @@ pub struct PipelineStats {
     /// submission order) at any instant. Bounded by
     /// [`PipelineConfig::window`] by construction.
     pub live_peak: usize,
-    /// Batches a worker claimed from the shared injector.
+    /// Packets the pool's workers claimed from the shared source: equal
+    /// to `packets` on a pooled run, 0 on the serial path.
     pub injector_claims: u64,
-    /// Steal-half operations against a sibling worker's deque.
+    /// Always 0: the pool has no per-worker queues to steal from. Kept
+    /// so readers of older stats keep their schema.
     pub steals: u64,
     /// Worker count the run used.
     pub jobs: usize,
@@ -106,74 +140,66 @@ pub struct PipelineStats {
     pub window: usize,
 }
 
-impl PipelineStats {
-    fn finish(mut self, wall_s: f64) -> Self {
-        self.wall_s = wall_s;
-        self.packets_per_sec = if wall_s > 0.0 { self.packets as f64 / wall_s } else { 0.0 };
-        self.utilization = if wall_s > 0.0 && self.jobs > 0 {
-            self.busy_s / (self.jobs as f64 * wall_s)
-        } else {
-            0.0
-        };
-        self
-    }
-}
-
-/// Worker→reducer message: a finished packet, or notice that a worker is
-/// unwinding (so the reducer can release everyone instead of waiting for
-/// a result that will never come).
-enum Msg<R> {
-    Done(usize, R),
-    Panicked,
-}
-
-/// Sends [`Msg::Panicked`] if the owning worker unwinds mid-packet.
-struct PanicNotice<R> {
-    tx: mpsc::Sender<Msg<R>>,
-}
-
-impl<R> Drop for PanicNotice<R> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.tx.send(Msg::Panicked);
-        }
-    }
-}
-
-/// Generator⇄reducer credit state: how many packets are in flight, and
-/// whether the run is being torn down early.
-struct Credits {
+/// The shared source: the lazy iterator plus the credit state that
+/// throttles claims, all under one lock.
+struct Source<I> {
+    items: std::iter::Fuse<I>,
+    next_seq: usize,
+    /// Packets claimed but not yet consumed in submission order.
     in_flight: usize,
     aborted: bool,
 }
 
-/// Injector queue plus the generator-completion flag, under one lock so
-/// parked workers cannot miss a wakeup.
-struct Injector<T> {
-    q: VecDeque<(usize, T)>,
-    gen_done: bool,
+struct Pool<I> {
+    source: Mutex<Source<I>>,
+    credit_cv: Condvar,
 }
 
-struct Shared<T, R> {
-    injector: Mutex<Injector<T>>,
-    work_cv: Condvar,
-    locals: Vec<Mutex<VecDeque<(usize, T)>>>,
-    credits: Mutex<Credits>,
-    credit_cv: Condvar,
-    /// Packets sitting in *some* queue (injector or a local deque),
-    /// i.e. visible to an idle worker scanning for work.
-    queued: AtomicUsize,
-    /// Results computed but not yet consumed in submission order.
-    live: AtomicUsize,
-    live_peak: AtomicUsize,
-    injector_claims: AtomicU64,
-    steals: AtomicU64,
-    busy_ns: AtomicU64,
-    /// Total packets the generator issued; valid once `gen_complete`.
-    total: AtomicUsize,
-    gen_complete: AtomicBool,
-    aborted: AtomicBool,
-    _marker: std::marker::PhantomData<fn() -> R>,
+impl<I> Pool<I> {
+    /// Lock the source. Only a panic inside the iterator can poison the
+    /// mutex, and the counters change only after `next` returns, so the
+    /// source stays valid and the abort path recovers the guard.
+    fn lock(&self) -> MutexGuard<'_, Source<I>> {
+        self.source.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Hand `n` consumed packets' credits back and wake the waiters.
+    fn release(&self, n: usize) {
+        self.lock().in_flight -= n;
+        self.credit_cv.notify_all();
+    }
+}
+
+impl<I: Iterator> Pool<I> {
+    /// Wait for a credit, then claim the next packet. `None` once the
+    /// source is dry or the run is aborted.
+    fn claim(&self, window: usize) -> Option<(usize, I::Item)> {
+        let mut src = self.lock();
+        while src.in_flight >= window && !src.aborted {
+            src = self.credit_cv.wait(src).unwrap_or_else(|e| e.into_inner());
+        }
+        if src.aborted {
+            return None;
+        }
+        let item = src.items.next()?;
+        let seq = src.next_seq;
+        src.next_seq += 1;
+        src.in_flight += 1;
+        Some((seq, item))
+    }
+}
+
+/// Marks the run aborted and wakes every waiting worker if dropped
+/// during an unwind (armed by each worker and around the consumer).
+struct AbortOnUnwind<'a, I>(&'a Pool<I>);
+
+impl<I> Drop for AbortOnUnwind<'_, I> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().aborted = true;
+            self.0.credit_cv.notify_all();
+        }
+    }
 }
 
 /// Stream `items` through the pipeline: apply `f` on up to `cfg.jobs`
@@ -183,9 +209,9 @@ struct Shared<T, R> {
 /// peak live results is O(jobs + reorder window) no matter how long the
 /// iterator runs.
 ///
-/// A panic inside `f` tears the pipeline down and propagates to the
-/// caller; a panic inside `consume` likewise (in-flight packets are
-/// abandoned, never silently dropped into the consumer).
+/// A panic inside the iterator, `f` or `consume` tears the pipeline down
+/// and propagates to the caller (in-flight packets are abandoned, never
+/// silently dropped into the consumer).
 pub fn pipeline_stream<T, R, I, F, C>(
     cfg: &PipelineConfig,
     items: I,
@@ -203,302 +229,97 @@ where
     let jobs = cfg.jobs.max(1);
     let window = cfg.window().max(1);
     let t0 = Instant::now();
-
-    if jobs <= 1 {
-        // Serial short-circuit: generator, simulate and reduce all run
-        // inline on the calling thread.
-        let mut packets = 0usize;
-        let mut busy_ns = 0u128;
-        for (seq, item) in items.into_iter().enumerate() {
-            let t = Instant::now();
-            let r = f(item);
-            busy_ns += t.elapsed().as_nanos();
-            consume(seq, r);
-            packets += 1;
-        }
-        let stats = PipelineStats {
-            packets,
-            wall_s: 0.0,
-            packets_per_sec: 0.0,
-            busy_s: busy_ns as f64 / 1e9,
-            utilization: 0.0,
-            reorder_peak: 0,
-            live_peak: packets.min(1),
-            injector_claims: 0,
-            steals: 0,
-            jobs: 1,
-            window,
-        };
-        return stats.finish(t0.elapsed().as_secs_f64());
-    }
-
-    let shared: Shared<T, R> = Shared {
-        injector: Mutex::new(Injector { q: VecDeque::new(), gen_done: false }),
-        work_cv: Condvar::new(),
-        locals: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-        credits: Mutex::new(Credits { in_flight: 0, aborted: false }),
-        credit_cv: Condvar::new(),
-        queued: AtomicUsize::new(0),
-        live: AtomicUsize::new(0),
-        live_peak: AtomicUsize::new(0),
-        injector_claims: AtomicU64::new(0),
-        steals: AtomicU64::new(0),
-        busy_ns: AtomicU64::new(0),
-        total: AtomicUsize::new(0),
-        gen_complete: AtomicBool::new(false),
-        aborted: AtomicBool::new(false),
-        _marker: std::marker::PhantomData,
+    let busy_ns = AtomicU64::new(0);
+    let timed = |item| {
+        let t = Instant::now();
+        let r = f(item);
+        busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        r
     };
-    let shared = &shared;
-    let f = &f;
-    let (tx, rx) = mpsc::channel::<Msg<R>>();
-
-    let mut reorder_peak = 0usize;
-
-    std::thread::scope(|scope| {
-        // --- Generator stage -------------------------------------------
-        let gen_tx = tx.clone();
-        let iter = items.into_iter();
-        scope.spawn(move || {
-            let _notice = PanicNotice { tx: gen_tx };
-            let mut seq = 0usize;
-            // Credits are acquired in batches (everything available under
-            // the window) so a release burst from the reducer translates
-            // into one generator wakeup and a run of back-to-back pushes,
-            // not one wake/sleep cycle per packet.
-            let mut budget = 0usize;
-            let mut died = false;
-            for item in iter {
-                if budget == 0 {
-                    let mut c = shared.credits.lock().expect("credits poisoned");
-                    while c.in_flight >= window && !c.aborted {
-                        c = shared.credit_cv.wait(c).expect("credits poisoned");
-                    }
-                    if c.aborted {
-                        died = true;
-                        break;
-                    }
-                    budget = window - c.in_flight;
-                    c.in_flight += budget;
-                }
-                budget -= 1;
-                let mut inj = shared.injector.lock().expect("injector poisoned");
-                inj.q.push_back((seq, item));
-                shared.queued.fetch_add(1, Ordering::SeqCst);
-                // One packet needs at most one worker; notify_all here
-                // would stampede every parked worker per push.
-                shared.work_cv.notify_one();
-                drop(inj);
-                seq += 1;
-            }
-            if budget > 0 && !died {
-                // Hand back credits acquired for items the iterator never
-                // produced, so `in_flight` keeps meaning live packets.
-                let mut c = shared.credits.lock().expect("credits poisoned");
-                c.in_flight -= budget;
-            }
-            shared.total.store(seq, Ordering::SeqCst);
-            shared.gen_complete.store(true, Ordering::SeqCst);
-            let mut inj = shared.injector.lock().expect("injector poisoned");
-            inj.gen_done = true;
-            shared.work_cv.notify_all();
-        });
-
-        // --- Simulate stage: work-stealing workers ----------------------
-        for wid in 0..jobs {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let notice = PanicNotice { tx };
-                'work: loop {
-                    if shared.aborted.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // 1. Own deque first (front pop keeps rough
-                    //    submission order, which keeps the reorder
-                    //    buffer shallow).
-                    let mine =
-                        shared.locals[wid].lock().expect("deque poisoned").pop_front();
-                    if let Some((seq, item)) = mine {
-                        run_packet(shared, &notice.tx, f, seq, item);
-                        continue;
-                    }
-                    // 2. Claim from the shared injector: run the head
-                    //    packet directly (no local-deque round trip) and
-                    //    reserve half the remainder for this worker.
-                    let claimed = {
-                        let mut inj = shared.injector.lock().expect("injector poisoned");
-                        match inj.q.pop_front() {
-                            Some(head) => {
-                                let take = inj.q.len().div_ceil(2);
-                                if take > 0 {
-                                    let mut local =
-                                        shared.locals[wid].lock().expect("deque poisoned");
-                                    for _ in 0..take {
-                                        local.push_back(
-                                            inj.q.pop_front().expect("len checked"),
-                                        );
-                                    }
-                                }
-                                shared.injector_claims.fetch_add(1, Ordering::Relaxed);
-                                Some(head)
-                            }
-                            None => None,
-                        }
-                    };
-                    if let Some((seq, item)) = claimed {
-                        run_packet(shared, &notice.tx, f, seq, item);
-                        continue;
-                    }
-                    // 3. Steal half a sibling's deque (from the back:
-                    //    the victim keeps the packets it will reach
-                    //    soonest).
-                    for k in 1..jobs {
-                        let victim = (wid + k) % jobs;
-                        let mut v = shared.locals[victim].lock().expect("deque poisoned");
-                        let len = v.len();
-                        if len > 0 {
-                            let tail = v.split_off(len - len.div_ceil(2));
-                            drop(v);
-                            let mut local =
-                                shared.locals[wid].lock().expect("deque poisoned");
-                            local.extend(tail);
-                            drop(local);
-                            shared.steals.fetch_add(1, Ordering::Relaxed);
-                            continue 'work;
-                        }
-                    }
-                    // 4. Nothing visible: park until the generator
-                    //    pushes, or exit once it is done and every
-                    //    queue is drained. `queued` only rises under
-                    //    the injector lock, so this cannot miss work.
-                    let mut inj = shared.injector.lock().expect("injector poisoned");
-                    loop {
-                        if shared.aborted.load(Ordering::SeqCst) {
-                            break 'work;
-                        }
-                        if !inj.q.is_empty() || shared.queued.load(Ordering::SeqCst) > 0 {
+    let (packets, reorder_peak, live_peak) = if jobs <= 1 {
+        // Serial short-circuit: source, map and consumer all run inline
+        // on the calling thread.
+        let mut n = 0usize;
+        for (seq, item) in items.into_iter().enumerate() {
+            consume(seq, timed(item));
+            n += 1;
+        }
+        (n, 0, n.min(1))
+    } else {
+        let pool = Pool {
+            source: Mutex::new(Source {
+                items: items.into_iter().fuse(),
+                next_seq: 0,
+                in_flight: 0,
+                aborted: false,
+            }),
+            credit_cv: Condvar::new(),
+        };
+        let (pool, timed) = (&pool, &timed);
+        // Results computed but not yet consumed, and their high-water mark.
+        let (live, peak) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel::<(usize, R)>();
+        let (mut next, mut reorder_peak) = (0usize, 0usize);
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    let _abort = AbortOnUnwind(pool);
+                    while let Some((seq, item)) = pool.claim(window) {
+                        let r = timed(item);
+                        peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        // The reducer is gone only on an aborted run.
+                        if tx.send((seq, r)).is_err() {
                             break;
                         }
-                        if inj.gen_done {
-                            break 'work;
-                        }
-                        inj = shared.work_cv.wait(inj).expect("injector poisoned");
                     }
-                }
-            });
-        }
-        drop(tx);
-
-        // --- Reduce stage (this thread): reorder to submission order ----
-        let mut buf: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next = 0usize;
-        loop {
-            if shared.gen_complete.load(Ordering::SeqCst)
-                && next == shared.total.load(Ordering::SeqCst)
-            {
-                break;
+                });
             }
-            match rx.recv() {
-                Ok(Msg::Done(seq, r)) => {
-                    buf.insert(seq, r);
-                    reorder_peak = reorder_peak.max(buf.len());
-                    let mut burst = 0usize;
-                    while let Some(r) = buf.remove(&next) {
-                        // Consume under an abort guard: a panicking
-                        // consumer must still release the generator and
-                        // the parked workers.
-                        let guard = AbortOnUnwind { shared };
-                        consume(next, r);
-                        std::mem::forget(guard);
-                        next += 1;
-                        shared.live.fetch_sub(1, Ordering::SeqCst);
-                        burst += 1;
-                    }
-                    if burst > 0 {
-                        // Release the whole burst's credits with one lock
-                        // and one wakeup (only the generator waits here).
-                        let mut c = shared.credits.lock().expect("credits poisoned");
-                        c.in_flight -= burst;
-                        shared.credit_cv.notify_one();
-                    }
+            drop(tx);
+
+            // Reduce on this thread until every worker has hung up.
+            let _abort = AbortOnUnwind(pool);
+            let mut buf: BTreeMap<usize, R> = BTreeMap::new();
+            for (seq, r) in rx {
+                buf.insert(seq, r);
+                reorder_peak = reorder_peak.max(buf.len());
+                let first = next;
+                while let Some(r) = buf.remove(&next) {
+                    consume(next, r);
+                    live.fetch_sub(1, Ordering::SeqCst);
+                    next += 1;
                 }
-                Ok(Msg::Panicked) | Err(mpsc::RecvError) => {
-                    // A stage died (or every sender vanished early):
-                    // release everyone and let scope exit propagate the
-                    // panic.
-                    abort(shared);
-                    break;
+                if next > first {
+                    pool.release(next - first);
                 }
             }
-        }
-    });
+        });
+        (next, reorder_peak, peak.load(Ordering::SeqCst))
+    };
 
-    let stats = PipelineStats {
-        packets: shared.total.load(Ordering::SeqCst),
-        wall_s: 0.0,
-        packets_per_sec: 0.0,
-        busy_s: shared.busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        utilization: 0.0,
+    let wall_s = t0.elapsed().as_secs_f64();
+    let busy_s = busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
+    let per_wall = |x: f64| if wall_s > 0.0 { x / wall_s } else { 0.0 };
+    PipelineStats {
+        packets,
+        wall_s,
+        packets_per_sec: per_wall(packets as f64),
+        busy_s,
+        utilization: per_wall(busy_s / jobs as f64),
         reorder_peak,
-        live_peak: shared.live_peak.load(Ordering::SeqCst),
-        injector_claims: shared.injector_claims.load(Ordering::Relaxed),
-        steals: shared.steals.load(Ordering::Relaxed),
+        live_peak,
+        injector_claims: if jobs > 1 { packets as u64 } else { 0 },
+        steals: 0,
         jobs,
         window,
-    };
-    stats.finish(t0.elapsed().as_secs_f64())
-}
-
-/// Execute one packet on a worker and ship the result to the reducer.
-fn run_packet<T, R, F>(
-    shared: &Shared<T, R>,
-    tx: &mpsc::Sender<Msg<R>>,
-    f: &F,
-    seq: usize,
-    item: T,
-) where
-    F: Fn(T) -> R,
-{
-    shared.queued.fetch_sub(1, Ordering::SeqCst);
-    let t = Instant::now();
-    let r = f(item);
-    shared.busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let live = shared.live.fetch_add(1, Ordering::SeqCst) + 1;
-    shared.live_peak.fetch_max(live, Ordering::SeqCst);
-    // The reducer may already be gone on an aborted run.
-    let _ = tx.send(Msg::Done(seq, r));
-}
-
-/// Wake every blocked stage so the scope can unwind.
-fn abort<T, R>(shared: &Shared<T, R>) {
-    shared.aborted.store(true, Ordering::SeqCst);
-    {
-        let mut c = shared.credits.lock().expect("credits poisoned");
-        c.aborted = true;
-        shared.credit_cv.notify_all();
-    }
-    let _inj = shared.injector.lock().expect("injector poisoned");
-    shared.work_cv.notify_all();
-}
-
-/// Calls [`abort`] if dropped during an unwind (armed around the
-/// consumer callback; defused with `mem::forget` on the happy path).
-struct AbortOnUnwind<'a, T, R> {
-    shared: &'a Shared<T, R>,
-}
-
-impl<T, R> Drop for AbortOnUnwind<'_, T, R> {
-    fn drop(&mut self) {
-        abort(self.shared);
     }
 }
 
-/// The collect-all compatibility path: stream `items` through the
-/// pipeline but materialize every result, in submission order — the
-/// exact `Vec` [`par_map`](crate::parallel::par_map) would return, plus
-/// the pipeline's stats. Exact-result tests and small sweeps use this;
-/// large sweeps should prefer [`pipeline_stream`] with an online
-/// consumer so peak memory stays O(window).
+/// The collect-all path: stream `items` through the pipeline but
+/// materialize every result, in submission order, plus the pipeline's
+/// stats. Exact-result tests and small sweeps use this; large sweeps
+/// should prefer [`pipeline_stream`] with an online consumer so peak
+/// memory stays O(window).
 pub fn pipeline_map<T, R, F>(
     cfg: &PipelineConfig,
     items: Vec<T>,
@@ -624,10 +445,40 @@ mod tests {
     }
 
     #[test]
+    fn source_panics_propagate() {
+        let caught = std::panic::catch_unwind(|| {
+            let items = (0..64usize).inspect(|&i| {
+                if i == 9 {
+                    panic!("source exploded");
+                }
+            });
+            pipeline_stream(&cfg(2), items, |i| i, |_, _| {})
+        });
+        assert!(caught.is_err(), "panic in the source must reach the caller");
+    }
+
+    #[test]
+    fn worker_panic_at_the_head_of_a_full_window_propagates() {
+        // Packet 0 is slow and then dies, while the other worker fills
+        // the window and blocks on credits that packet 0 never returns.
+        let c = PipelineConfig { jobs: 2, reorder_window: 1 };
+        let caught = std::panic::catch_unwind(|| {
+            pipeline_map(&c, (0..16usize).collect(), |i| {
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("head packet exploded");
+                }
+                i
+            })
+        });
+        assert!(caught.is_err(), "panic at the window's head must reach the caller");
+    }
+
+    #[test]
     fn lazy_generator_is_driven_incrementally() {
-        // The generator must never materialize the whole input: with a
-        // window of jobs + reorder, the iterator cursor can be at most
-        // window + (packets already consumed) at any instant.
+        // The source must never materialize the whole input: a worker
+        // takes a credit before it advances the iterator, so the cursor
+        // is at most window + (packets already consumed) at any instant.
         let c = PipelineConfig { jobs: 2, reorder_window: 4 };
         let issued = AtomicUsize::new(0);
         let consumed = AtomicUsize::new(0);
@@ -635,8 +486,8 @@ mod tests {
             let ahead = issued.fetch_add(1, Ordering::SeqCst) + 1;
             let done = consumed.load(Ordering::SeqCst);
             assert!(
-                ahead <= done + c.window() + 1,
-                "generator ran {ahead} ahead of {done} consumed (window {})",
+                ahead <= done + c.window(),
+                "source ran {ahead} ahead of {done} consumed (window {})",
                 c.window()
             );
         });

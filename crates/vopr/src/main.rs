@@ -93,8 +93,8 @@ fn main() -> ExitCode {
         }
     };
     if let Some(jobs) = opts.jobs {
-        // The parallel pool resolves its worker count from CLOUDLB_JOBS
-        // (see cloudlb_core::parallel::default_jobs).
+        // The sweep engine resolves its worker count from CLOUDLB_JOBS
+        // (see cloudlb_core::pipeline::default_jobs).
         std::env::set_var("CLOUDLB_JOBS", jobs.to_string());
     }
     let oracle_opts = OracleOpts { inject: opts.inject };

@@ -131,7 +131,7 @@ pub fn kind_name(kind: FailureKind) -> &'static str {
 const PROGRESS_EVERY: u64 = 50;
 
 /// Run the oracle battery over `n` consecutive seeds starting at
-/// `seed_base`, streamed over `jobs` work-stealing workers. With
+/// `seed_base`, streamed over `jobs` pool workers. With
 /// `progress`, a status line goes to **stderr** every 50 seeds.
 pub fn run_swarm_stream(
     seed_base: u64,

@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     };
     if let Some(jobs) = opts.jobs {
         // The sweep engine resolves its worker count from CLOUDLB_JOBS
-        // (see cloudlb_core::parallel::default_jobs); --jobs overrides it
+        // (see cloudlb_core::pipeline::default_jobs); --jobs overrides it
         // process-wide before any sweep starts.
         std::env::set_var("CLOUDLB_JOBS", jobs.to_string());
     }
@@ -371,15 +371,13 @@ fn stream_summary(
 ) -> String {
     format!(
         "\nstreaming summary\n{}pipeline: {:.1} cells-arms/s, utilization {:.2}, reorder peak {}, \
-         live peak {} (bound {}), {} steals, {} injector claims\n",
+         live peak {} (bound {})\n",
         summary.render(),
         stats.packets_per_sec,
         stats.utilization,
         stats.reorder_peak,
         stats.live_peak,
         stats.window,
-        stats.steals,
-        stats.injector_claims,
     )
 }
 

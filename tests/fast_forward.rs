@@ -17,7 +17,7 @@
 //! boundary ghosts' arrivals after a replayed window — with every run
 //! bit-identical.
 
-use cloudlb_core::{par_map, try_run_scenario, BgPattern, Scenario};
+use cloudlb_core::{pipeline_map, try_run_scenario, BgPattern, PipelineConfig, Scenario};
 use cloudlb_runtime::{FastForward, RunResult, RuntimeError, SimExecutor};
 use cloudlb_sim::{BgAction, BgScript, Dur, Time};
 use cloudlb_trace::Activity;
@@ -27,6 +27,11 @@ const SEEDS: [u64; 3] = [1, 2, 3];
 // always runs the final window live — fewer than 40 iterations at the
 // default period of 10 would leave nothing to macro-step.
 const ITERS: usize = 40;
+
+/// Map `f` over `items` through the sweep engine, results in order.
+fn sweep<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    pipeline_map(&PipelineConfig::new(cloudlb_core::default_jobs()), items, f).0
+}
 
 fn with_ff(mut scn: Scenario, ff: FastForward) -> Scenario {
     scn.fast_forward = ff;
@@ -82,7 +87,7 @@ fn fast_forward_is_bit_identical_across_every_preset() {
             [with_ff(scn.clone(), FastForward::On), with_ff(scn.clone(), FastForward::Off)]
         })
         .collect();
-    let mut results = par_map(cloudlb_core::default_jobs(), runs, |scn| run(&scn)).into_iter();
+    let mut results = sweep(runs, |scn| run(&scn)).into_iter();
 
     let mut replayed_anywhere = false;
     for (label, _) in &matrix {
@@ -152,8 +157,7 @@ fn interfered_paper_matrix_is_bit_identical_and_replays() {
         .iter()
         .flat_map(|(_, scn)| [FastForward::On, FastForward::Off].map(|ff| with_ff(scn.clone(), ff)))
         .collect();
-    let jobs = cloudlb_core::default_jobs();
-    let mut results = par_map(jobs, runs, |scn| run(&scn).unwrap()).into_iter();
+    let mut results = sweep(runs, |scn| run(&scn).unwrap()).into_iter();
     for (label, scn) in &matrix {
         let (on, off) = (results.next().unwrap(), results.next().unwrap());
         if scn.strategy == "nolb" {
@@ -203,7 +207,7 @@ fn background_completion_sweep_is_bit_identical() {
             s
         })
         .collect();
-    par_map(cloudlb_core::default_jobs(), coarse, |s| {
+    sweep(coarse, |s| {
         let on = run(&with_ff(s.clone(), FastForward::On)).unwrap();
         let off = run(&with_ff(s.clone(), FastForward::Off)).unwrap();
         assert_eq!(on.scrub_ff(), off, "{:?} diverged", s.bg);
@@ -242,8 +246,8 @@ fn background_completion_sweep_is_bit_identical() {
     let d_hi = probe.app_time.as_us();
     let grid: Vec<(usize, u64)> =
         (0..2).flat_map(|c| (1..=16).map(move |i| (c, d_hi * i / 16))).collect();
-    let grid_f = par_map(cloudlb_core::default_jobs(), grid.clone(), finish);
-    let landed = par_map(cloudlb_core::default_jobs(), targets.clone(), |(stepped, _, target)| {
+    let grid_f = sweep(grid.clone(), finish);
+    let landed = sweep(targets.clone(), |(stepped, _, target)| {
         // Narrow the bracket: a µs of demand costs at least a µs of wall
         // time, so stepping from either end at slope 1 stays inside it,
         // and lands exactly once both ends idle the foreground.

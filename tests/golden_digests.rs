@@ -19,7 +19,7 @@
 //! windows with the background job resident and must hash to their
 //! `Off` row's digest.
 
-use cloudlb_core::{par_map, try_run_scenario, Scenario};
+use cloudlb_core::{pipeline_map, try_run_scenario, PipelineConfig, Scenario};
 use cloudlb_runtime::FastForward;
 
 /// Iterations per case: four LB windows at the default period of 10.
@@ -118,7 +118,8 @@ const GOLDEN: &[(&str, u64)] = &[
 fn golden_corpus_is_bit_identical() {
     let cases = cases();
     let labels: Vec<String> = cases.iter().map(|(l, _)| l.clone()).collect();
-    let got: Vec<(u64, usize)> = par_map(cloudlb_core::default_jobs(), cases, |(label, scn)| {
+    let cfg = PipelineConfig::new(cloudlb_core::default_jobs());
+    let (got, _) = pipeline_map(&cfg, cases, |(label, scn)| {
         let r = try_run_scenario(&scn).unwrap_or_else(|e| panic!("{label}: {e}"));
         let ff_windows = r.ff_windows;
         (fnv1a(&format!("{:?}", r.scrub_ff())), ff_windows)

@@ -7,7 +7,7 @@
 //! itself is dropped — across every chaos preset, four apps and the CI
 //! seeds, with fast-forward off in both arms so every window runs live.
 
-use cloudlb_core::{par_map, try_run_scenario, Scenario};
+use cloudlb_core::{pipeline_map, try_run_scenario, PipelineConfig, Scenario};
 use cloudlb_runtime::{FastForward, RunResult, RuntimeError};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -50,8 +50,8 @@ fn lazy_settlement_matches_eager_advancement() {
         .iter()
         .flat_map(|(_, scn)| [(scn.clone(), true), (scn.clone(), false)])
         .collect();
-    let mut results =
-        par_map(cloudlb_core::default_jobs(), runs, |(scn, trace)| run(scn, trace)).into_iter();
+    let cfg = PipelineConfig::new(cloudlb_core::default_jobs());
+    let mut results = pipeline_map(&cfg, runs, |(scn, trace)| run(scn, trace)).0.into_iter();
     for (label, _) in &matrix {
         let (eager, lazy) = (results.next().unwrap(), results.next().unwrap());
         assert_eq!(lazy, eager, "lazy settlement diverged from eager advancement for {label}");
