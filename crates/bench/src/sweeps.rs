@@ -387,11 +387,15 @@ fn skew_uniform_scenario(s: &Settings, seed: u64) -> Scenario {
     scn
 }
 
-/// The Mol3D-heavy straggler of the skew profile.
+/// The Mol3D-heavy straggler of the skew profile. Fast-forward is off:
+/// replay would skip most of its windows, so its cost relative to a
+/// uniform run would follow the replay rate instead of the iteration
+/// count it is calibrated by.
 fn skew_straggler_scenario(iterations: usize, seed: u64) -> Scenario {
     let mut scn = Scenario::paper("mol3d", 4, "cloudrefine");
     scn.iterations = iterations;
     scn.seed = seed;
+    scn.fast_forward = FastForward::Off;
     scn
 }
 
@@ -498,9 +502,10 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
     }
 
     // --- Calibration: measure the skew profile's per-packet costs. The
-    // straggler runs Mol3D for 20× the uniform iteration count — a fixed,
-    // deterministic profile whose measured cost ratio (recorded below)
-    // lands around 20× on this workload. Inferring an iteration count
+    // straggler runs Mol3D for 20× the uniform iteration count, event by
+    // event — a fixed, deterministic profile whose measured cost ratio is
+    // recorded below (the uniform run keeps the paper preset's
+    // fast-forward, so the ratio exceeds 20×). Inferring an iteration count
     // from a short probe instead is unstable: Mol3D's setup cost
     // dominates short runs and skews any per-iteration estimate.
     run_scenario(&skew_uniform_scenario(s, 1)); // warm-up

@@ -406,9 +406,9 @@ impl<'a> Sim<'a> {
         for (at, seq, ev) in self.queue.events() {
             match *ev {
                 Ev::Msg { chare, iter, epoch, dup: false }
-                    if iter == boundary && epoch == self.epoch =>
+                    if iter as usize == boundary && epoch == self.epoch =>
                 {
-                    msgs.push((seq, FfMsg { rel: at.since(origin), chare }));
+                    msgs.push((seq, FfMsg { rel: at.since(origin), chare: chare as usize }));
                 }
                 Ev::LbDone { epoch } if epoch == self.epoch => lb_done += 1,
                 _ => return None,
@@ -667,8 +667,8 @@ impl<'a> Sim<'a> {
         let end_sent = t.hosts.as_ref().map_or(&[][..], |h| &h.end_sent[..]);
         for (i, m) in t.end_inflight.iter().enumerate() {
             self.ff_set_wakes_before(&mut wakes, end_sent.get(i).copied().unwrap_or(0));
-            self.queue
-                .schedule(now + m.rel, Ev::Msg { chare: m.chare, iter: b1, epoch: self.epoch, dup: false });
+            let ghost = Ev::Msg { chare: m.chare as u32, iter: b1 as u32, epoch: self.epoch, dup: false };
+            self.queue.schedule(now + m.rel, ghost);
         }
         self.ff_set_wakes_before(&mut wakes, t.dur.as_us() as u32);
         self.local_msgs += t.local_msgs;

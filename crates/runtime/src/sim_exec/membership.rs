@@ -223,7 +223,8 @@ impl Sim<'_> {
                 }
             };
             nic_free[src] = arrival;
-            self.queue.schedule(arrival, Ev::Evac { chare, to: dest, epoch });
+            let evac = Ev::Evac { chare: chare as u32, to: dest as u32, epoch };
+            self.queue.schedule(arrival, evac);
             self.pending_evac.insert(chare, dest);
             count[dest] += 1;
             count[src] -= 1;

@@ -37,9 +37,8 @@ use cloudlb_balance::{LbStats, LbStrategy, TaskId};
 use cloudlb_sim::core_sched::CoreEvent;
 use cloudlb_sim::interference::{BgAction, BgLedger, BgScript};
 use cloudlb_sim::{
-    Cluster, Dur, EventQueue, FailureAction, FailureScript, FaultyNetwork, FgLabel,
-    MembershipAction, MembershipScript, NetFaultSpec, Popped, ProcStat, TelemetryChannel,
-    TelemetrySpec, Time,
+    Cluster, Dur, EventQueue, FailureScript, FaultyNetwork, FgLabel, MembershipScript,
+    NetFaultSpec, Popped, ProcStat, TelemetryChannel, TelemetrySpec, Time,
 };
 use fastforward::FfState;
 use membership::{acquired_nodes, validate_membership};
@@ -48,6 +47,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// Events driving the simulation. Besides these, each core has a wake
 /// timer in the queue (keyed by core index) set to its next completion
 /// instant.
+///
+/// An event is 16 bytes: chares, iterations, cores and script indices
+/// are `u32` ([`SimExecutor::try_run_with_strategy`] rejects runs where
+/// they do not fit), and a script action is named by its index into the
+/// run's copy of the script, every action scheduled up front.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A ghost message for `iter` arrives at `chare`. Stale epochs (sent
@@ -55,21 +59,23 @@ enum Ev {
     /// copy fabricated by the faulty network: the receiver's sequence
     /// numbering suppresses it on arrival (it was already counted in
     /// [`cloudlb_sim::NetStats::duplicates_dropped`] when generated).
-    Msg { chare: usize, iter: usize, epoch: u32, dup: bool },
-    /// Apply an interference action.
-    Bg(BgAction),
+    Msg { chare: u32, iter: u32, epoch: u32, dup: bool },
+    /// Apply the interference action at this index of the script.
+    Bg(u32),
     /// The LB step (strategy + migrations) finished.
     LbDone { epoch: u32 },
-    /// Apply a failure action (kill/restore a core or node).
-    Fail(FailureAction),
+    /// Apply the failure action (kill/restore a core or node) at this
+    /// index of the script.
+    Fail(u32),
     /// The recovery pause (detection + restore + re-balance) finished.
     Recovered { epoch: u32 },
-    /// Apply an elastic-membership action (notice/revoke/acquire/warm-up).
-    Membership(MembershipAction),
+    /// Apply the elastic-membership action (notice/revoke/acquire/warm-up)
+    /// at this index of the script.
+    Membership(u32),
     /// A proactively evacuated chare's state transfer lands on core `to`.
     /// Scheduled at notice time; stale epochs (a rollback intervened) are
     /// dropped.
-    Evac { chare: usize, to: usize, epoch: u32 },
+    Evac { chare: u32, to: u32, epoch: u32 },
 }
 
 /// Per-chare lifecycle state.
@@ -197,6 +203,16 @@ impl<'a> SimExecutor<'a> {
     ) -> Result<RunResult, RuntimeError> {
         use RuntimeError::InvalidConfig;
         let (total, nodes) = (self.cfg.cluster.total_cores(), self.cfg.cluster.nodes);
+        let (chares, iterations) = (self.app.num_chares(), self.cfg.iterations);
+        let scripts =
+            [self.bg.actions.len(), self.fail.actions.len(), self.membership.actions.len()];
+        let mut counts = [chares, iterations, total].into_iter().chain(scripts);
+        if counts.any(|x| u32::try_from(x).is_err()) {
+            return Err(InvalidConfig(format!(
+                "{chares} chares, {iterations} iterations, {total} cores and each script's \
+                 {scripts:?} actions must fit in u32"
+            )));
+        }
         self.cfg.try_resolved_speeds().map_err(InvalidConfig)?;
         let max_core = self.fail.max_core(self.cfg.cluster.cores_per_node);
         if let Some(c) = max_core.filter(|&c| c >= total) {
@@ -217,6 +233,11 @@ struct Sim<'a> {
     strategy: Box<dyn LbStrategy>,
 
     queue: EventQueue<Ev>,
+    /// The run's scripts; `Ev::Bg`, `Ev::Fail` and `Ev::Membership` index
+    /// their actions.
+    bg: BgScript,
+    fail: FailureScript,
+    membership: MembershipScript,
     cluster: Cluster,
     ledger: BgLedger,
     /// Background jobs seen starting (for penalty reporting).
@@ -367,17 +388,17 @@ impl<'a> Sim<'a> {
 
         let mut queue = EventQueue::new();
         let mut pending_bg = 0;
-        for (t, action) in &bg.actions {
+        for (i, (t, action)) in bg.actions.iter().enumerate() {
             if let BgAction::Start { demand: Some(_), .. } = action {
                 pending_bg += 1;
             }
-            queue.schedule(*t, Ev::Bg(*action));
+            queue.schedule(*t, Ev::Bg(i as u32));
         }
-        for (t, action) in &fail.actions {
-            queue.schedule(*t, Ev::Fail(*action));
+        for (i, &(t, _)) in fail.actions.iter().enumerate() {
+            queue.schedule(t, Ev::Fail(i as u32));
         }
-        for (t, action) in &membership.actions {
-            queue.schedule(*t, Ev::Membership(*action));
+        for (i, &(t, _)) in membership.actions.iter().enumerate() {
+            queue.schedule(t, Ev::Membership(i as u32));
         }
 
         // Flatten the topology once: the executor walks this CSR on every
@@ -415,6 +436,9 @@ impl<'a> Sim<'a> {
             app,
             strategy,
             queue,
+            bg,
+            fail,
+            membership,
             cluster,
             ledger: BgLedger::new(),
             seen_bg: Vec::new(),
@@ -516,18 +540,20 @@ impl<'a> Sim<'a> {
                 match ev {
                     Ev::Msg { dup: true, .. } => {} // duplicate copy: seq-suppressed
                     Ev::Msg { chare, iter, epoch, dup: false } if epoch == self.epoch => {
-                        self.on_msg(chare, iter, t)
+                        self.on_msg(chare as usize, iter as usize, t)
                     }
                     Ev::Msg { .. } => {} // stale: sent before a rollback
-                    Ev::Bg(action) => self.on_bg(action, t),
+                    Ev::Bg(i) => self.on_bg(self.bg.actions[i as usize].1, t),
                     Ev::LbDone { epoch } if epoch == self.epoch => self.on_lb_done(t),
                     Ev::LbDone { .. } => {} // LB step interrupted by a failure
-                    Ev::Fail(action) => self.on_fail(action, t)?,
+                    Ev::Fail(i) => self.on_fail(self.fail.actions[i as usize].1, t)?,
                     Ev::Recovered { epoch } if epoch == self.epoch => self.on_recovered(t),
                     Ev::Recovered { .. } => {} // superseded by a later failure
-                    Ev::Membership(action) => self.on_membership(action, t)?,
+                    Ev::Membership(i) => {
+                        self.on_membership(self.membership.actions[i as usize].1, t)?
+                    }
                     Ev::Evac { chare, to, epoch } if epoch == self.epoch => {
-                        self.on_evac(chare, to, t)?
+                        self.on_evac(chare as usize, to as usize, t)?
                     }
                     Ev::Evac { .. } => {} // cancelled by a rollback
                 }
@@ -658,6 +684,7 @@ impl<'a> Sim<'a> {
         // is computed up front so no borrow outlives the mutations below).
         let next = iter + 1;
         if next < self.cfg.iterations {
+            let ghost_iter = next as u32;
             for e in self.comm.row(chare) {
                 let nb = self.comm.neighbor(e);
                 let bytes = self.comm.edge_bytes(e);
@@ -672,8 +699,8 @@ impl<'a> Sim<'a> {
                 match self.netfault.as_mut() {
                     None => {
                         let delay = self.cfg.network.delay(bytes, same);
-                        self.queue
-                            .schedule(now + delay, Ev::Msg { chare: nb, iter: next, epoch, dup: false });
+                        let msg = Ev::Msg { chare: nb as u32, iter: ghost_iter, epoch, dup: false };
+                        self.queue.schedule(now + delay, msg);
                     }
                     Some(ch) => {
                         // Ghosts ride the reliable transport: losses show
@@ -687,11 +714,11 @@ impl<'a> Sim<'a> {
                             self.cluster.node_of(from_pe),
                             self.cluster.node_of(to_pe),
                         );
-                        self.queue
-                            .schedule(d.arrival, Ev::Msg { chare: nb, iter: next, epoch, dup: false });
+                        let msg = Ev::Msg { chare: nb as u32, iter: ghost_iter, epoch, dup: false };
+                        self.queue.schedule(d.arrival, msg);
                         if let Some(td) = d.dup {
-                            self.queue
-                                .schedule(td, Ev::Msg { chare: nb, iter: next, epoch, dup: true });
+                            let dup = Ev::Msg { chare: nb as u32, iter: ghost_iter, epoch, dup: true };
+                            self.queue.schedule(td, dup);
                         }
                     }
                 }
@@ -994,6 +1021,22 @@ mod tests {
             .try_run()
             .expect_err("core 64 does not exist");
         assert!(matches!(err, RuntimeError::InvalidConfig(_)), "got {err}");
+    }
+
+    #[test]
+    fn counts_beyond_u32_are_invalid_config() {
+        // Rejected before `Sim::new`, which would size per-iteration
+        // vectors by the count.
+        let app = SyntheticApp::ring(8, 0.001);
+        let cfg = small_cfg(u32::MAX as usize + 1, "nolb");
+        let err = SimExecutor::new(&app, cfg, BgScript::none()).try_run().unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("4294967296 iterations"), "{err}");
+    }
+
+    #[test]
+    fn events_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Ev>(), 16);
     }
 
     #[test]

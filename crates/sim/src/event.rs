@@ -1,6 +1,6 @@
 //! Deterministic discrete-event queue.
 //!
-//! A thin priority queue over `(time, sequence)` pairs. Ties at the same
+//! A priority queue over `(time, sequence)` pairs. Ties at the same
 //! virtual instant pop in insertion (FIFO) order, which makes whole-cluster
 //! simulations bit-for-bit reproducible regardless of hash-map iteration or
 //! allocation order elsewhere.
@@ -8,64 +8,117 @@
 //! # Storage
 //!
 //! This is the hottest structure in the repo: every simulated message,
-//! interference action and LB step passes through it. Payload events live
-//! inline in one binary heap, ordered on `(time, seq)` alone, so the
-//! schedule/pop cycle is one heap push and one heap pop — no hashing, no
-//! side table, no per-event allocation once the heap has warmed up. A
-//! single event is never withdrawn: the only removal besides a pop is
+//! interference action, LB step and core wake passes through it. Simulated
+//! time never goes backwards, so the queue is a monotone radix heap keyed
+//! on µs time (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990). Its base is the
+//! clock, `now`. An entry at `now` sits in the *current* bucket; any later
+//! entry sits in bucket `b`, where `b` is the highest bit in which its
+//! instant differs from `now`. A schedule is one push. A pop takes the
+//! front of the current bucket. When that is empty, the lowest non-empty
+//! bucket is *split*: the clock moves to its earliest live instant and
+//! each of its entries moves to a strictly lower bucket, so an entry moves
+//! at most 64 times in its life (a handful in practice) and is never
+//! compared with another except to find a split's minimum.
+//!
+//! Every bucket stays in `seq` order without sorting: a push appends the
+//! largest seq yet, and a bucket is split only into buckets that are all
+//! empty, in its own order. So the current bucket pops in FIFO order.
+//!
+//! The base never passes the clock, or a later schedule at `now` would
+//! land in the wrong bucket: a split moves the clock to its bucket's
+//! earliest *live* entry (see Timers), and a bucket that holds only stale
+//! entries is dropped whole.
+//!
+//! A bucket fills a chunk of 64 entries in place. When the chunk is
+//! full it moves behind the bucket's earlier full chunks and the bucket
+//! takes an empty one from a pool shared by all buckets; a split returns
+//! the full chunks to the pool and keeps the emptied one in place. So the
+//! queue holds about as many chunks as its live entries fill, plus one per
+//! bucket in use, and allocates nothing once the pool covers its peak: no
+//! bucket keeps the capacity of its own busiest moment, and no buffer is
+//! freed only to be allocated again.
+//!
+//! A single event is never withdrawn: the only removal besides a pop is
 //! [`EventQueue::discard_events`], which drops every pending payload event
 //! at once (the fast-forward engine does, when it replays a window whose
 //! in-flight ghosts are baked into its template). So an event needs no
-//! handle, and the heap never holds an entry that is not pending.
+//! handle.
 //!
 //! # Timers
 //!
 //! Besides payload events the queue holds at most one *timer* per key
 //! (the executor keys them by core: "this core completes something at
-//! `t`"). Pending timers live in an indexed min-heap, so moving one is a
-//! sift in place. Setting a timer takes the next sequence number exactly
-//! as scheduling an event does, and [`EventQueue::pop`] fires events and
-//! timers together in one `(time, seq)` order; the counters (`len`,
-//! `total_popped`, the peaks) count a pending timer as one event. A timer
-//! that fired keeps its instant until it is set to another one, and stays
-//! *due* ([`EventQueue::timers_due`]) until then.
+//! `t`"). A timer is an entry in the same buckets, tagged with its key.
+//! Setting a timer takes the next sequence number exactly as scheduling an
+//! event does and pushes a fresh entry; the key remembers that seq. The
+//! entry the timer held before is not looked for: it is left in place,
+//! *stale*, and dropped unseen when a pop or a split reaches it. So
+//! [`EventQueue::pop`] fires events and live timers together in one
+//! `(time, seq)` order, and moving a timer costs one push.
+//!
+//! The counters see live entries only: `len`, `total_popped`,
+//! `peak_depth` and `window_peak` count a pending timer as one event and
+//! a stale entry as none. A timer that fired keeps its instant until it is
+//! set to another one, and stays *due* ([`EventQueue::timers_due`]) until
+//! then. The queue lists the timers that entered the current bucket and
+//! prunes the list at each split to the ones that fired and were not set
+//! since, so the keys due at `now` are read without a scan of the keys.
 
 use crate::time::Time;
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
-/// A pending payload event. It orders on `(at, seq)` only; `seq` is
-/// unique, so the payload never takes part in an ordering decision.
+/// Buckets besides the current one: one per bit of a µs instant.
+const BUCKETS: usize = 64;
+/// Entries per chunk of bucket storage (2 KiB of 32-byte entries).
+const CHUNK: usize = 64;
+
+/// What a queue entry carries.
+#[derive(Debug)]
+enum Item<E> {
+    /// A payload event.
+    Event(E),
+    /// A timer of this key; stale unless the key's live seq is the entry's.
+    Timer(u32),
+}
+
+/// One radix bucket: its full chunks, then the chunk being filled, all
+/// in seq order.
+#[derive(Debug)]
+struct Bucket<E> {
+    full: Vec<Vec<Entry<E>>>,
+    tail: Vec<Entry<E>>,
+}
+
+impl<E> Default for Bucket<E> {
+    fn default() -> Self {
+        Bucket { full: Vec::new(), tail: Vec::new() }
+    }
+}
+
+impl<E> Bucket<E> {
+    fn is_empty(&self) -> bool {
+        self.full.is_empty() && self.tail.is_empty()
+    }
+
+    fn chunks(&self) -> impl Iterator<Item = &Vec<Entry<E>>> {
+        self.full.iter().chain(std::iter::once(&self.tail))
+    }
+}
+
+/// A queued event or timer. Its position in the buckets orders it.
 #[derive(Debug)]
 struct Entry<E> {
     at: Time,
     seq: u64,
-    payload: E,
+    item: Item<E>,
 }
 
 impl<E> Entry<E> {
-    fn key(&self) -> (Time, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+    fn event(&self) -> Option<(Time, u64, &E)> {
+        match &self.item {
+            Item::Event(payload) => Some((self.at, self.seq, payload)),
+            Item::Timer(_) => None,
+        }
     }
 }
 
@@ -83,38 +136,61 @@ pub enum Popped<E> {
 enum TimerState {
     /// Not set.
     Clear,
-    /// Pending, at this position of the timer heap.
-    Pending(u32),
-    /// Fired and not set since, at this position of the fired list.
-    Fired(u32),
+    /// Pending: the entry with the timer's seq is live.
+    Pending,
+    /// Fired and not set since.
+    Fired,
 }
 
-/// A key's timer: its state and the instant it is set to.
+/// A key's timer: its state, the instant it is set to and the seq its
+/// live entry carries.
 #[derive(Debug, Clone, Copy)]
 struct Timer {
     state: TimerState,
     at: Time,
+    seq: u64,
+}
+
+/// `true` unless `e` is a timer entry its key has moved on from.
+fn live<E>(timers: &[Timer], e: &Entry<E>) -> bool {
+    match e.item {
+        Item::Event(_) => true,
+        Item::Timer(key) => {
+            let t = timers[key as usize];
+            t.state == TimerState::Pending && t.seq == e.seq
+        }
+    }
 }
 
 /// Deterministic event queue with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap of the pending payload events.
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// The entries at `now`, in seq order.
+    current: VecDeque<Entry<E>>,
+    /// `buckets[b]`: the entries whose instant first differs from `now`
+    /// at bit `b`.
+    buckets: [Bucket<E>; BUCKETS],
+    /// Bit `b` set exactly when `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Empty chunks of capacity [`CHUNK`].
+    pool: Vec<Vec<Entry<E>>>,
     next_seq: u64,
     now: Time,
+    /// Pending payload events.
+    events: usize,
+    /// Pending timers.
+    armed: usize,
     /// Lifetime counters for perf baselines.
     popped: u64,
     peak_live: usize,
     /// High-water mark of pending entries since the last [`EventQueue::mark_window`].
     window_peak: usize,
-    /// Min-heap of pending timers as `(time, seq, key)`, indexed by the
-    /// keys' [`TimerState::Pending`] positions.
-    timer_heap: Vec<(Time, u64, u32)>,
     /// Per key.
     timers: Vec<Timer>,
-    /// Keys whose timer fired and has not been set since.
-    fired: Vec<u32>,
+    /// `(key, seq)` of every timer entry that entered the current bucket
+    /// since the last split, and of every timer that fired before it and
+    /// was not set since: a superset of the keys due at `now`.
+    due: Vec<(u32, u64)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -127,15 +203,19 @@ impl<E> EventQueue<E> {
     /// Empty queue with the clock at [`Time::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            current: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Bucket::default()),
+            occupied: 0,
+            pool: Vec::new(),
             next_seq: 0,
             now: Time::ZERO,
+            events: 0,
+            armed: 0,
             popped: 0,
             peak_live: 0,
             window_peak: 0,
-            timer_heap: Vec::new(),
             timers: Vec::new(),
-            fired: Vec::new(),
+            due: Vec::new(),
         }
     }
 
@@ -149,9 +229,9 @@ impl<E> EventQueue<E> {
     /// clamps to `now` to keep time monotonic.
     pub fn schedule(&mut self, at: Time, payload: E) {
         debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
-        let at = at.max(self.now);
         let seq = self.take_seq();
-        self.heap.push(Reverse(Entry { at, seq, payload }));
+        self.push(Entry { at: at.max(self.now), seq, item: Item::Event(payload) });
+        self.events += 1;
         self.raise_peaks();
     }
 
@@ -159,6 +239,33 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
+    }
+
+    /// Put `e` (at or after `now`) in its bucket, behind every entry there.
+    fn push(&mut self, e: Entry<E>) {
+        let diff = e.at.as_us() ^ self.now.as_us();
+        if diff == 0 {
+            if let Item::Timer(key) = e.item {
+                self.due.push((key, e.seq));
+            }
+            self.current.push_back(e);
+            return;
+        }
+        let b = 63 - diff.leading_zeros() as usize;
+        if self.buckets[b].tail.len() == CHUNK {
+            self.spill(b);
+        }
+        self.buckets[b].tail.push(e);
+        self.occupied |= 1 << b;
+    }
+
+    /// Move bucket `b`'s full tail behind its full chunks and give it an
+    /// empty one from the pool.
+    #[cold]
+    fn spill(&mut self, b: usize) {
+        let fresh = self.pool.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+        let bucket = &mut self.buckets[b];
+        bucket.full.push(std::mem::replace(&mut bucket.tail, fresh));
     }
 
     fn raise_peaks(&mut self) {
@@ -174,29 +281,26 @@ impl<E> EventQueue<E> {
     /// Like [`EventQueue::schedule`], an instant before `now` is a logic
     /// error (debug) and fires at `now` (release).
     pub fn set_timer(&mut self, key: usize, at: Option<Time>) {
+        let tag = u32::try_from(key).expect("timer keys fit in u32");
         if key >= self.timers.len() {
-            self.timers.resize(key + 1, Timer { state: TimerState::Clear, at: Time::ZERO });
+            let clear = Timer { state: TimerState::Clear, at: Time::ZERO, seq: 0 };
+            self.timers.resize(key + 1, clear);
         }
         if self.timer(key) == at {
             return;
         }
-        match self.timers[key].state {
-            TimerState::Clear => {}
-            TimerState::Pending(pos) => self.remove_pending(pos as usize),
-            TimerState::Fired(idx) => {
-                self.fired.swap_remove(idx as usize);
-                if let Some(&moved) = self.fired.get(idx as usize) {
-                    self.timers[moved as usize].state = TimerState::Fired(idx);
-                }
-            }
+        let timer = &mut self.timers[key];
+        if timer.state == TimerState::Pending {
+            self.armed -= 1;
         }
-        self.timers[key].state = TimerState::Clear;
+        // Its entry, if pending, is stale from here on.
+        timer.state = TimerState::Clear;
         if let Some(at) = at {
             debug_assert!(at >= self.now, "timer in the past: {at:?} < {:?}", self.now);
             let seq = self.take_seq();
-            self.timers[key].at = at;
-            self.timer_heap.push((at.max(self.now), seq, key as u32));
-            self.sift_up(self.timer_heap.len() - 1);
+            self.timers[key] = Timer { state: TimerState::Pending, at, seq };
+            self.armed += 1;
+            self.push(Entry { at: at.max(self.now), seq, item: Item::Timer(tag) });
             self.raise_peaks();
         }
     }
@@ -209,124 +313,127 @@ impl<E> EventQueue<E> {
 
     /// Keys whose timer is due at `t` into `out` (cleared first), in no
     /// particular order: every fired timer, and every pending one at or
-    /// before `t`.
+    /// before `t`. At `t == now` this reads the short list of timers that
+    /// reached the current bucket; any other `t` scans every key.
     pub fn timers_due(&self, t: Time, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(self.fired.iter().map(|&k| k as usize));
-        self.collect_due(0, t, out);
-    }
-
-    fn collect_due(&self, pos: usize, t: Time, out: &mut Vec<usize>) {
-        if let Some(&(at, _, key)) = self.timer_heap.get(pos) {
-            if at <= t {
-                out.push(key as usize);
-                self.collect_due(2 * pos + 1, t, out);
-                self.collect_due(2 * pos + 2, t, out);
-            }
+        let timers = &self.timers;
+        if t == self.now {
+            let set = |&&(key, seq): &&(u32, u64)| {
+                let timer = timers[key as usize];
+                timer.state != TimerState::Clear && timer.seq == seq
+            };
+            out.extend(self.due.iter().filter(set).map(|&(key, _)| key as usize));
+        } else {
+            let due = |timer: &Timer| match timer.state {
+                TimerState::Clear => false,
+                TimerState::Pending => timer.at <= t,
+                TimerState::Fired => true,
+            };
+            out.extend(timers.iter().enumerate().filter(|(_, t)| due(t)).map(|(key, _)| key));
         }
     }
 
     /// Every pending timer as `(key, time)`, in no particular order.
     pub fn pending_timers(&self) -> impl Iterator<Item = (usize, Time)> + '_ {
-        self.timer_heap.iter().map(|&(at, _, key)| (key as usize, at))
-    }
-
-    /// Take the pending timer at heap position `pos` out of the heap; its
-    /// key's state is left for the caller to set.
-    fn remove_pending(&mut self, pos: usize) {
-        self.timer_heap.swap_remove(pos);
-        if pos < self.timer_heap.len() {
-            let pos = self.sift_up(pos);
-            self.sift_down(pos);
-        }
-    }
-
-    /// Place the node at `pos` (whose key's position may be stale) where
-    /// it belongs at or above `pos`; returns where it landed.
-    fn sift_up(&mut self, mut pos: usize) -> usize {
-        let node = self.timer_heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            let up = self.timer_heap[parent];
-            if (up.0, up.1) <= (node.0, node.1) {
-                break;
-            }
-            self.place(pos, up);
-            pos = parent;
-        }
-        self.place(pos, node);
-        pos
-    }
-
-    /// Place the node at `pos` where it belongs at or below `pos`.
-    fn sift_down(&mut self, mut pos: usize) {
-        let node = self.timer_heap[pos];
-        let len = self.timer_heap.len();
-        loop {
-            let mut child = 2 * pos + 1;
-            if child >= len {
-                break;
-            }
-            let (l, r) = (self.timer_heap[child], self.timer_heap.get(child + 1));
-            if r.is_some_and(|r| (r.0, r.1) < (l.0, l.1)) {
-                child += 1;
-            }
-            let down = self.timer_heap[child];
-            if (node.0, node.1) <= (down.0, down.1) {
-                break;
-            }
-            self.place(pos, down);
-            pos = child;
-        }
-        self.place(pos, node);
-    }
-
-    fn place(&mut self, pos: usize, node: (Time, u64, u32)) {
-        self.timer_heap[pos] = node;
-        self.timers[node.2 as usize].state = TimerState::Pending(pos as u32);
+        let pending = |(key, t): (usize, &Timer)| {
+            (t.state == TimerState::Pending).then_some((key, t.at.max(self.now)))
+        };
+        self.timers.iter().enumerate().filter_map(pending)
     }
 
     /// Pop the earliest pending event or timer, advancing the clock to its
     /// timestamp. A popped timer stays set, as fired (see
     /// [`EventQueue::timers_due`]).
     pub fn pop(&mut self) -> Option<(Time, Popped<E>)> {
-        let timer_first = match (self.heap.peek(), self.timer_heap.first()) {
-            (None, None) => return None,
-            (Some(Reverse(e)), Some(&(at, seq, _))) => (at, seq) < e.key(),
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-        };
-        let (at, popped) = if timer_first {
-            self.pop_timer()
-        } else {
-            let Some(Reverse(Entry { at, payload, .. })) = self.heap.pop() else { unreachable!() };
-            (at, Popped::Event(payload))
-        };
-        self.popped += 1;
-        self.now = at;
-        Some((at, popped))
+        loop {
+            let Some(entry) = self.current.pop_front() else {
+                if !self.split() {
+                    return None;
+                }
+                continue;
+            };
+            if !live(&self.timers, &entry) {
+                continue;
+            }
+            let popped = match entry.item {
+                Item::Event(e) => {
+                    self.events -= 1;
+                    Popped::Event(e)
+                }
+                Item::Timer(key) => {
+                    self.timers[key as usize].state = TimerState::Fired;
+                    self.armed -= 1;
+                    Popped::Timer(key as usize)
+                }
+            };
+            self.popped += 1;
+            return Some((entry.at, popped));
+        }
     }
 
-    fn pop_timer(&mut self) -> (Time, Popped<E>) {
-        let (at, _, key) = self.timer_heap[0];
-        self.remove_pending(0);
-        self.timers[key as usize].state = TimerState::Fired(self.fired.len() as u32);
-        self.fired.push(key);
-        (at, Popped::Timer(key as usize))
+    /// Refill the (empty) current bucket from the lowest bucket holding a
+    /// live entry, moving the clock to that bucket's earliest live instant.
+    /// Returns `false`, with the clock unmoved, when nothing live is left.
+    fn split(&mut self) -> bool {
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            let timers = &self.timers;
+            let mut min = None;
+            for e in bucket.chunks().flatten() {
+                if live(timers, e) && min.is_none_or(|m| e.at < m) {
+                    min = Some(e.at);
+                }
+            }
+            if let Some(min) = min {
+                // Every timer listed at the old instant has fired or moved.
+                self.due.retain(|&(key, seq)| {
+                    let timer = timers[key as usize];
+                    timer.state == TimerState::Fired && timer.seq == seq
+                });
+                self.now = min;
+            }
+            for chunk in bucket.full.iter_mut().chain([&mut bucket.tail]) {
+                for e in chunk.drain(..) {
+                    if live(&self.timers, &e) {
+                        self.push(e);
+                    }
+                }
+            }
+            // The emptied tail stays; full chunks go back to the pool.
+            self.pool.append(&mut bucket.full);
+            self.buckets[b] = bucket;
+            if min.is_some() {
+                return true;
+            }
+        }
+        false
     }
 
     /// Drop every pending payload event, un-popped, and return how many
     /// there were. Timers stay as they are; no sequence number is taken
     /// and no counter but [`EventQueue::len`] changes.
     pub fn discard_events(&mut self) -> usize {
-        let n = self.heap.len();
-        self.heap.clear();
-        n
+        let timers = &self.timers;
+        let keep = |e: &Entry<E>| matches!(e.item, Item::Timer(_)) && live(timers, e);
+        self.current.retain(keep);
+        self.occupied = 0;
+        for (b, bucket) in self.buckets.iter_mut().enumerate() {
+            bucket.full.retain_mut(|chunk| {
+                chunk.retain(keep);
+                !chunk.is_empty()
+            });
+            bucket.tail.retain(keep);
+            self.occupied |= u64::from(!bucket.is_empty()) << b;
+        }
+        std::mem::take(&mut self.events)
     }
 
     /// Number of pending events and timers.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.timer_heap.len()
+        self.events + self.armed
     }
 
     /// `true` when no events or timers are pending.
@@ -378,7 +485,8 @@ impl<E> EventQueue<E> {
     /// particular order; sort by `seq` for a FIFO-consistent view. Timers
     /// are not included (see [`EventQueue::pending_timers`]).
     pub fn events(&self) -> impl Iterator<Item = (Time, u64, &E)> + '_ {
-        self.heap.iter().map(|Reverse(e)| (e.at, e.seq, &e.payload))
+        let later = self.buckets.iter().flat_map(Bucket::chunks).flatten();
+        self.current.iter().chain(later).filter_map(Entry::event)
     }
 }
 
@@ -392,6 +500,18 @@ mod tests {
             Some((_, Popped::Event(e))) => e,
             other => panic!("expected an event, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_entry_with_a_sixteen_byte_payload_is_thirty_two_bytes() {
+        // Shaped like the executor's event: `u32` fields behind a tag with
+        // spare values, which `Item` folds its own tag into.
+        #[allow(dead_code)]
+        enum Ev {
+            Msg { a: u32, b: u32, c: u32, dup: bool },
+            Index(u32),
+        }
+        assert_eq!(std::mem::size_of::<Entry<Ev>>(), 32);
     }
 
     #[test]

@@ -126,12 +126,32 @@ impl QueueModel {
         self.popped += 1;
         Some((t, entry.map_or_else(Popped::Timer, Popped::Event)))
     }
+
+    fn discard(&mut self) -> usize {
+        let before = self.pending.len();
+        self.pending.retain(|_, entry| entry.is_err());
+        before - self.pending.len()
+    }
+}
+
+/// A gap ahead of `now`: mostly within 50 µs, one in four up to 2^33 µs
+/// (as far out as a script event), so every radix bucket sees traffic.
+fn gap(rng: &mut SimRng) -> Dur {
+    if rng.below(4) == 0 {
+        let bits = rng.range_u64(1, 34);
+        Dur::from_us(rng.below(1 << bits))
+    } else {
+        Dur::from_us(rng.below(50))
+    }
 }
 
 /// The queue matches the reference model: the same pops in the same
 /// order, the same sequence counter and counters, and the same due keys
-/// at every instant, under random mixes of schedules, timer sets, moves,
-/// clears and pops.
+/// at every instant, under random mixes of schedules (near and up to 2^33
+/// µs ahead), timer sets, moves, clears, bursts of re-arms of one timer
+/// between pops, discards with live and stale timers pending, and pops.
+/// Each case ends with a drain in which only stale timers are left: it
+/// must not move the clock, and a schedule at `now` afterwards pops first.
 #[test]
 fn event_queue_matches_the_reference_model() {
     let mut rng = SimRng::new(0x00E0_E007);
@@ -142,13 +162,26 @@ fn event_queue_matches_the_reference_model() {
         let (mut due, mut want_due) = (Vec::new(), Vec::new());
         for op in 0..400u64 {
             let now = q.now();
-            match rng.below(10) {
-                0..=2 => {
-                    let at = now + Dur::from_us(rng.below(50));
+            match rng.below(20) {
+                0..=5 => {
+                    let at = now + gap(&mut rng);
                     q.schedule(at, op);
                     model.push(at, Ok(op));
                 }
-                3..=5 => {
+                6 => {
+                    // One timer re-armed many times between pops.
+                    let key = rng.below(keys as u64) as usize;
+                    for _ in 0..rng.range_u64(2, 30) {
+                        let at = Some(now + gap(&mut rng));
+                        q.set_timer(key, at);
+                        model.set(key, at);
+                    }
+                }
+                7 => {
+                    let n = q.discard_events();
+                    assert_eq!(n, model.discard(), "case {case} op {op}: discarded");
+                }
+                8..=11 => {
                     let key = rng.below(keys as u64) as usize;
                     // Clear, set near `now` (ties with events), or re-set the
                     // instant it already holds.
@@ -174,6 +207,30 @@ fn event_queue_matches_the_reference_model() {
             want_due.sort_unstable();
             assert_eq!(due, want_due, "case {case} op {op}: due at {now:?}");
         }
+        // Discard the events, then re-arm every timer far ahead and clear
+        // it: only stale entries are left.
+        assert_eq!(q.discard_events(), model.discard(), "case {case}: final discard");
+        let now = q.now();
+        for key in 0..keys {
+            let at = Some(now + Dur::from_us(1 << 33) + gap(&mut rng));
+            q.set_timer(key, at);
+            model.set(key, at);
+            q.set_timer(key, None);
+            model.set(key, None);
+        }
+        assert!(q.is_empty() && model.pending.is_empty(), "case {case}: stale only");
+        assert_eq!(q.pop(), None, "case {case}: a stale timer fired");
+        assert_eq!(q.now(), now, "case {case}: draining stale timers moved the clock");
+        q.schedule(now + Dur::from_us(1), 1);
+        model.push(now + Dur::from_us(1), Ok(1));
+        q.schedule(now, 0);
+        model.push(now, Ok(0));
+        q.set_timer(0, Some(now));
+        model.set(0, Some(now));
+        for _ in 0..4 {
+            assert_eq!(q.pop(), model.pop(), "case {case}: pop after the drain");
+        }
+        assert_eq!(q.next_seq(), model.next_seq, "case {case}: seq after the drain");
     }
 }
 
