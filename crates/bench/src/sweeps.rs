@@ -379,11 +379,14 @@ fn chunked<T: Send + Clone, R: Send>(
     out
 }
 
-/// One uniform (Jacobi2D) run of the skew profile.
+/// One uniform (Jacobi2D) run of the skew profile. Fast-forward is off,
+/// as on the straggler, so the calibrated cost ratio follows the
+/// iteration counts.
 fn skew_uniform_scenario(s: &Settings, seed: u64) -> Scenario {
     let mut scn = Scenario::paper("jacobi2d", 4, "cloudrefine");
     scn.iterations = s.iterations;
     scn.seed = seed;
+    scn.fast_forward = FastForward::Off;
     scn
 }
 
@@ -502,12 +505,11 @@ pub fn pipeline_sweep(s: &Settings) -> Result<PipelineRecord, String> {
     }
 
     // --- Calibration: measure the skew profile's per-packet costs. The
-    // straggler runs Mol3D for 20× the uniform iteration count, event by
-    // event — a fixed, deterministic profile whose measured cost ratio is
-    // recorded below (the uniform run keeps the paper preset's
-    // fast-forward, so the ratio exceeds 20×). Inferring an iteration count
-    // from a short probe instead is unstable: Mol3D's setup cost
-    // dominates short runs and skews any per-iteration estimate.
+    // straggler runs Mol3D for 20× the uniform iteration count, both event
+    // by event — a fixed, deterministic profile whose measured cost ratio
+    // is recorded below. Inferring an iteration count from a short probe
+    // instead is unstable: Mol3D's setup cost dominates short runs and
+    // skews any per-iteration estimate.
     run_scenario(&skew_uniform_scenario(s, 1)); // warm-up
     let u_s = median_of_3(|| timed(|| run_scenario(&skew_uniform_scenario(s, 1))).1);
     let straggler_iterations = 20 * s.iterations;

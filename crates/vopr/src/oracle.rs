@@ -4,9 +4,14 @@
 //!
 //! * **No panics** — the runtime must terminate normally or with a typed
 //!   [`RuntimeError`]; any unwind is a bug.
-//! * **Determinism** — a second run from the same seed must be
-//!   bit-identical ([`RunResult`]'s full `PartialEq`), including the exact
-//!   same typed error when the run fails.
+//! * **Determinism** — a second run from the same seed must agree with
+//!   the first. When the first run completed and the scenario may
+//!   fast-forward, that second run is the fast-forward-off twin below,
+//!   compared modulo the skip counters. Otherwise (fast-forward off, or a
+//!   typed error), and on one seed in eight so that the skip counters stay
+//!   under the check too, a same-mode rerun must be bit-identical
+//!   ([`RunResult`]'s full `PartialEq`), including the exact same typed
+//!   error when the run fails.
 //! * **Completion** — a normally-terminating run must have executed every
 //!   iteration.
 //! * **Chare conservation** — every chare mapped to exactly one in-range
@@ -16,10 +21,18 @@
 //! * **Fast-forward equivalence** — when the scenario allows
 //!   macro-stepping, rerunning with `--fast-forward off` must produce the
 //!   same result modulo the two skip counters ([`RunResult::scrub_ff`]).
+//!   Only a mismatch costs more runs: a same-mode rerun and a second off
+//!   run must each agree with their first, or the mismatch is
+//!   nondeterminism rather than a divergence.
 //! * **Bounded makespan** — the run must finish within a generous factor
 //!   of its clean twin (same topology and length, no chaos); the bound
 //!   scales with lost capacity and interference weight so it only trips
 //!   on genuine runaways (e.g. migration thrash livelock).
+//!
+//! When several invariants break, the first in this list is reported; a
+//! panic of the off twin ranks with fast-forward equivalence.
+//! A seed that fast-forwards and passes costs three simulations: the run,
+//! its off twin and the clean twin.
 
 use cloudlb_core::{try_run_scenario, Scenario};
 use cloudlb_runtime::{FastForward, RunResult, RuntimeError};
@@ -139,13 +152,24 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_caught(s: &Scenario) -> Result<Result<RunResult, RuntimeError>, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run_scenario(s)))
-        .map_err(panic_detail)
-}
+/// One seed in this many keeps the full same-mode rerun even when the
+/// fast-forward-off twin already reruns its physics. The twin comparison
+/// scrubs the skip counters, so this sample keeps them under a
+/// determinism check.
+const FULL_RERUN_EVERY: u64 = 8;
 
 /// Run every oracle against `scn`.
 pub fn check(scn: &Scenario, opts: &OracleOpts) -> Verdict {
+    check_with(scn, opts, try_run_scenario)
+}
+
+/// [`check`] over any runner, so the classification can be tested with
+/// scripted results.
+fn check_with(
+    scn: &Scenario,
+    opts: &OracleOpts,
+    mut run_scenario: impl FnMut(&Scenario) -> Result<RunResult, RuntimeError>,
+) -> Verdict {
     if opts.inject == Some(InjectBreak::Faults) && !scn.fail.is_empty() {
         return Err(OracleFailure::new(
             FailureKind::InjectedBreak,
@@ -153,21 +177,72 @@ pub fn check(scn: &Scenario, opts: &OracleOpts) -> Verdict {
         ));
     }
 
-    let first = run_caught(scn)
-        .map_err(|p| OracleFailure::new(FailureKind::Panic, format!("first run: {p}")))?;
-    let second = run_caught(scn)
-        .map_err(|p| OracleFailure::new(FailureKind::Panic, format!("rerun: {p}")))?;
-    if first != second {
-        return Err(OracleFailure::new(
+    let mut run = |s: &Scenario| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_scenario(s)))
+            .map_err(panic_detail)
+    };
+    let panicked = |what: &'static str| {
+        move |p: String| OracleFailure::new(FailureKind::Panic, format!("{what}: {p}"))
+    };
+    let rerun_diverged = || {
+        OracleFailure::new(
             FailureKind::Nondeterminism,
             "rerun from the same seed diverged from the first run",
-        ));
+        )
+    };
+
+    let first = run(scn).map_err(panicked("first run"))?;
+    // A completed run that may fast-forward gets a fast-forward-off twin,
+    // which reruns the same physics and so doubles as the determinism
+    // rerun. The full same-mode rerun stays where there is no twin and on
+    // a sample of the seeds.
+    let twinned = scn.fast_forward != FastForward::Off && first.is_ok();
+    let reran = !twinned || scn.seed.is_multiple_of(FULL_RERUN_EVERY);
+    if reran && run(scn).map_err(panicked("rerun"))? != first {
+        return Err(rerun_diverged());
     }
 
     let result = match first {
         Err(e) => return Ok(Outcome::TypedError(e.to_string())),
-        Ok(r) => r,
+        Ok(r) => r.scrub_ff(),
     };
+
+    // Fast-forward differential: macro-stepping may only change the skip
+    // counters, never the physics. A divergence is reported only after
+    // the completion and conservation checks pass.
+    let mut divergence = None;
+    if twinned {
+        let off = Scenario { fast_forward: FastForward::Off, ..scn.clone() };
+        let twin = run(&off).map(|r| r.map(RunResult::scrub_ff));
+        if !matches!(&twin, Ok(Ok(t)) if *t == result) {
+            // Only a mismatch pays for more runs: the same-mode pair and a
+            // second off pair must each agree before the twin's
+            // disagreement counts as a divergence.
+            if !reran
+                && run(scn).map_err(panicked("rerun"))?.map(RunResult::scrub_ff).as_ref()
+                    != Ok(&result)
+            {
+                return Err(rerun_diverged());
+            }
+            if run(&off).map(|r| r.map(RunResult::scrub_ff)) != twin {
+                return Err(OracleFailure::new(
+                    FailureKind::Nondeterminism,
+                    "two ff-off runs from the same seed diverged",
+                ));
+            }
+            divergence = Some(match twin {
+                Err(p) => panicked("ff-off twin")(p),
+                Ok(Err(e)) => OracleFailure::new(
+                    FailureKind::FastForwardDivergence,
+                    format!("ff-off twin errored where the original completed: {e}"),
+                ),
+                Ok(Ok(_)) => OracleFailure::new(
+                    FailureKind::FastForwardDivergence,
+                    "fast-forwarded run differs from the event-by-event run",
+                ),
+            });
+        }
+    }
 
     if result.iter_times.len() != scn.iterations {
         return Err(OracleFailure::new(
@@ -190,29 +265,12 @@ pub fn check(scn: &Scenario, opts: &OracleOpts) -> Verdict {
         return Err(OracleFailure::new(kind, detail));
     }
 
-    // Fast-forward differential: macro-stepping may only change the skip
-    // counters, never the physics.
-    let result = result.scrub_ff();
-    if scn.fast_forward != FastForward::Off {
-        let off = Scenario { fast_forward: FastForward::Off, ..scn.clone() };
-        let off_result = run_caught(&off)
-            .map_err(|p| OracleFailure::new(FailureKind::Panic, format!("ff-off twin: {p}")))?
-            .map_err(|e| {
-                OracleFailure::new(
-                    FailureKind::FastForwardDivergence,
-                    format!("ff-off twin errored where the original completed: {e}"),
-                )
-            })?;
-        if off_result.scrub_ff() != result {
-            return Err(OracleFailure::new(
-                FailureKind::FastForwardDivergence,
-                "fast-forwarded run differs from the event-by-event run",
-            ));
-        }
+    if let Some(f) = divergence {
+        return Err(f);
     }
 
     // Makespan bound vs the clean twin (no chaos, noLB, same shape).
-    let clean = run_caught(&scn.base_of())
+    let clean = run(&scn.base_of())
         .map_err(|p| OracleFailure::new(FailureKind::CleanTwinError, format!("panic: {p}")))?
         .map_err(|e| OracleFailure::new(FailureKind::CleanTwinError, e.to_string()))?;
     let clean_s = clean.app_time.as_secs_f64();
@@ -305,5 +363,150 @@ mod tests {
         assert!(check(&clean, &opts).is_ok());
         let err = check(&with_fail, &opts).unwrap_err();
         assert_eq!(err.kind, FailureKind::InjectedBreak);
+    }
+
+    /// A small scenario that completes and may fast-forward; a `seed`
+    /// divisible by 8 puts it in the full-rerun sample.
+    fn twinned(seed: u64) -> Scenario {
+        Scenario {
+            iterations: 10,
+            fast_forward: FastForward::On,
+            seed,
+            ..Scenario::paper("jacobi2d", 4, "cloudrefine")
+        }
+    }
+
+    /// [`check_with`] over a runner that runs each scenario for real and
+    /// then hands the result to `script`, with whether the call was a
+    /// fast-forward-off run and how many calls of that kind came before
+    /// it. The clean twin runs unscripted. Returns the verdict and the
+    /// number of simulations run.
+    fn scripted(
+        scn: &Scenario,
+        mut script: impl FnMut(bool, usize, RunResult) -> Result<RunResult, RuntimeError>,
+    ) -> (Verdict, usize) {
+        let clean = scn.base_of();
+        let mut calls = [0; 2];
+        let mut runs = 0;
+        let verdict = check_with(scn, &OracleOpts::default(), |s| {
+            runs += 1;
+            let r = try_run_scenario(s)?;
+            if *s == clean {
+                return Ok(r);
+            }
+            let off = s.fast_forward != scn.fast_forward;
+            let n = calls[off as usize];
+            calls[off as usize] += 1;
+            script(off, n, r)
+        });
+        (verdict, runs)
+    }
+
+    /// The same run with one physics-bearing counter moved by `by`.
+    fn perturbed(mut r: RunResult, by: u64) -> RunResult {
+        r.sim_events += by;
+        r
+    }
+
+    fn kind(verdict: Verdict) -> FailureKind {
+        verdict.expect_err("an oracle must fire").kind
+    }
+
+    #[test]
+    fn a_passing_twinned_seed_runs_three_simulations() {
+        let (verdict, runs) = scripted(&twinned(1), |_, _, r| Ok(r));
+        assert!(matches!(verdict, Ok(Outcome::Completed { .. })), "{verdict:?}");
+        assert_eq!(runs, 3, "first run, ff-off twin, clean twin");
+        let (_, runs) = scripted(&twinned(8), |_, _, r| Ok(r));
+        assert_eq!(runs, 4, "the sampled seed keeps its same-mode rerun");
+        let off = Scenario { fast_forward: FastForward::Off, ..twinned(1) };
+        let (_, runs) = scripted(&off, |_, _, r| Ok(r));
+        assert_eq!(runs, 3, "first run, same-mode rerun, clean twin");
+    }
+
+    #[test]
+    fn a_nondeterministic_same_mode_run_is_nondeterminism() {
+        let (verdict, _) =
+            scripted(&twinned(1), |off, n, r| Ok(if !off && n == 0 { perturbed(r, 1) } else { r }));
+        assert_eq!(kind(verdict), FailureKind::Nondeterminism);
+        // Without fast-forward the full rerun catches it directly.
+        let scn = Scenario { fast_forward: FastForward::Off, ..twinned(1) };
+        let (verdict, _) = scripted(&scn, |_, n, r| Ok(perturbed(r, n as u64)));
+        assert_eq!(kind(verdict), FailureKind::Nondeterminism);
+    }
+
+    #[test]
+    fn nondeterminism_in_the_off_run_only_is_nondeterminism() {
+        let (verdict, _) =
+            scripted(&twinned(1), |off, n, r| Ok(if off { perturbed(r, n as u64 + 1) } else { r }));
+        let f = verdict.unwrap_err();
+        assert_eq!(f.kind, FailureKind::Nondeterminism);
+        assert!(f.detail.contains("ff-off runs"), "{}", f.detail);
+    }
+
+    #[test]
+    fn a_deterministic_divergence_is_ff_divergence() {
+        let (verdict, runs) =
+            scripted(&twinned(1), |off, _, r| Ok(if off { perturbed(r, 1) } else { r }));
+        assert_eq!(kind(verdict), FailureKind::FastForwardDivergence);
+        assert_eq!(runs, 4, "the mismatch buys a same-mode rerun and a second off run");
+    }
+
+    #[test]
+    fn a_twin_that_errors_where_the_first_run_completed_is_ff_divergence() {
+        let (verdict, _) = scripted(&twinned(1), |off, _, r| {
+            if off {
+                Err(RuntimeError::InvalidConfig("off only".into()))
+            } else {
+                Ok(r)
+            }
+        });
+        let f = verdict.unwrap_err();
+        assert_eq!(f.kind, FailureKind::FastForwardDivergence);
+        assert!(f.detail.contains("errored where the original completed"), "{}", f.detail);
+    }
+
+    #[test]
+    fn a_twin_that_panics_reports_the_panic() {
+        let (verdict, _) =
+            scripted(&twinned(1), |off, _, r| if off { panic!("off only") } else { Ok(r) });
+        let f = verdict.unwrap_err();
+        assert_eq!(f.kind, FailureKind::Panic);
+        assert_eq!(f.detail, "ff-off twin: off only");
+    }
+
+    #[test]
+    fn typed_errors_must_be_deterministic() {
+        let err = |n: usize| RuntimeError::InvalidConfig(format!("refused {n}"));
+        let (verdict, _) = scripted(&twinned(1), |_, _, _| Err(err(0)));
+        assert_eq!(verdict, Ok(Outcome::TypedError(err(0).to_string())));
+        let (verdict, _) = scripted(&twinned(1), |_, n, _| Err(err(n)));
+        assert_eq!(kind(verdict), FailureKind::Nondeterminism);
+    }
+
+    #[test]
+    fn incomplete_outranks_a_divergence() {
+        let (verdict, _) = scripted(&twinned(1), |off, _, mut r| {
+            if !off {
+                r.iter_times.pop();
+            }
+            Ok(r)
+        });
+        assert_eq!(kind(verdict), FailureKind::Incomplete);
+    }
+
+    #[test]
+    fn the_rerun_sample_keeps_the_skip_counters_deterministic() {
+        let script = |off: bool, n: usize, mut r: RunResult| {
+            if !off {
+                r.ff_windows = n;
+            }
+            Ok(r)
+        };
+        let (verdict, _) = scripted(&twinned(8), script);
+        assert_eq!(kind(verdict), FailureKind::Nondeterminism);
+        // Off the sample only the twin reruns, and it scrubs the counters.
+        let (verdict, _) = scripted(&twinned(9), script);
+        assert!(verdict.is_ok(), "{verdict:?}");
     }
 }

@@ -170,6 +170,7 @@ pub fn run_swarm(seed_base: u64, n: u64, jobs: usize, opts: &OracleOpts) -> Swar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::InjectBreak;
 
     #[test]
     fn swarm_is_deterministic_across_worker_counts() {
@@ -201,9 +202,19 @@ mod tests {
 
     #[test]
     fn only_failing_rows_stay_resident() {
-        // The streaming fold must not buffer green seeds: resident rows
-        // equals oracle failures, whatever the swarm size.
-        let report = run_swarm(1, 8, 4, &OracleOpts::default());
-        assert_eq!(report.failures().len(), report.total as usize - report.completed() - report.typed_errors());
+        // The streaming fold keeps the failing rows and drops the green
+        // ones: with the injected break, exactly the seeds that schedule a
+        // failure stay resident, in seed order.
+        let opts = OracleOpts { inject: Some(InjectBreak::Faults) };
+        let report = run_swarm(10, 8, 4, &opts);
+        let failing: Vec<u64> = (10..18).filter(|&s| !generate(s).fail.is_empty()).collect();
+        assert!(!failing.is_empty() && failing.len() < 8, "{failing:?}");
+        let rows: Vec<u64> = report.failures().iter().map(|row| row.seed).collect();
+        assert_eq!(rows, failing);
+        for row in report.failures() {
+            let injected = matches!(&row.verdict, Err(f) if f.kind == FailureKind::InjectedBreak);
+            assert!(injected, "seed {}: {:?}", row.seed, row.verdict);
+        }
+        assert_eq!(report.completed() + report.typed_errors() + rows.len(), 8);
     }
 }
