@@ -3,19 +3,22 @@
 //! The simulator's event queue used to keep payload events in a
 //! `BinaryHeap` ordered on `(time, seq)` and per-key timers in an indexed
 //! min-heap, re-sifted whenever a timer moved. Today both live in one
-//! monotone radix heap keyed on µs time, with timers dropped lazily. This
-//! bench vendors a faithful copy of the old queue (below) and drives both
-//! through the executor's per-event pattern: pop, list the keys due at the
-//! popped instant, re-send a popped event a short delay ahead (a ghost
-//! message), re-arm a fired key, and move one pseudo-random key's timer
-//! (a core whose composition changed), over 256 keys. It runs at three
-//! queue depths, the peaks the perfbench workloads reach: ≈160 events
-//! (`paper_matrix`), ≈1.8k (`scale_ff`) and ≈7.5k (`wide_chaos`). Both
-//! queues must fire the same sequence (checksums compare).
+//! monotone radix heap keyed on µs time behind a level of exact-instant
+//! slots, with timers dropped lazily. This bench vendors a faithful copy
+//! of the old queue (below) and drives both through the executor's
+//! per-event pattern: pop, list the keys due at the popped instant,
+//! re-send a popped event a short delay ahead (a ghost message), re-arm a
+//! fired key, and move one pseudo-random key's timer (a core whose
+//! composition changed). It runs five shapes. Three have 256 keys at the
+//! peak depths the perfbench workloads reach: ≈160 events
+//! (`paper_matrix`), ≈1.8k (`scale_ff`) and ≈7.5k (`wide_chaos`). Two
+//! have 8 keys at depths 8 and 32, the small-P step of a `vopr_swarm` or
+//! `paper_matrix` scenario at 8 cores. Both queues must fire the same
+//! sequence (checksums compare).
 //!
-//! Results (ops/sec per depth plus the speedups) are serialized to
+//! Results (ops/sec per shape plus the speedups) are serialized to
 //! `BENCH_event_queue.json`. The bench exits non-zero if the radix queue
-//! is slower than the binary-heap queue at any depth.
+//! is slower than the binary-heap queue at any shape.
 
 use cloudlb_sim::{Dur, EventQueue, Popped, Time};
 use serde::{Deserialize, Serialize};
@@ -271,9 +274,10 @@ macro_rules! impl_queue {
 impl_queue!(EventQueue<u64>);
 impl_queue!(heap_queue::HeapQueue<u64>);
 
-/// Throughput at one queue depth.
+/// Throughput at one queue shape.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct DepthRecord {
+struct ShapeRecord {
+    keys: usize,
     depth: usize,
     radix_ops_per_sec: f64,
     heap_ops_per_sec: f64,
@@ -285,15 +289,14 @@ struct DepthRecord {
 struct MicroRecord {
     name: String,
     rounds: usize,
-    keys: usize,
-    depths: Vec<DepthRecord>,
+    shapes: Vec<ShapeRecord>,
 }
 
-/// Timer keys, as the executor keys one wake per core.
-const KEYS: usize = 256;
-/// Payload events in flight: the peak depths of `paper_matrix`,
-/// `scale_ff` and `wide_chaos`.
-const DEPTHS: [usize; 3] = [160, 1_800, 7_500];
+/// `(keys, depth)`: timer keys, as the executor keys one wake per core,
+/// and payload events in flight. 256 keys at the peak depths of
+/// `paper_matrix`, `scale_ff` and `wide_chaos`; 8 keys at the depths of
+/// an 8-core scenario's step.
+const SHAPES: [(usize, usize); 5] = [(256, 160), (256, 1_800), (256, 7_500), (8, 8), (8, 32)];
 
 /// Deterministic pseudo-random stream (xorshift) — identical for both
 /// queues.
@@ -316,16 +319,16 @@ fn delay(x: u64) -> Dur {
 }
 
 /// The executor's per-event pattern at `depth` events in flight plus
-/// `KEYS` timers; returns (ops, checksum). Each round pops, lists the due
+/// `keys` timers; returns (ops, checksum). Each round pops, lists the due
 /// keys, re-sends a popped event or re-arms a fired key, and moves one
 /// key's timer.
-fn churn<Q: Queue>(depth: usize, rounds: usize, xs: &[u64]) -> (usize, u64) {
+fn churn<Q: Queue>((keys, depth): (usize, usize), rounds: usize, xs: &[u64]) -> (usize, u64) {
     let mut q = Q::new();
     let (mut sum, mut due) = (0u64, Vec::new());
     for (i, &x) in xs[..depth].iter().enumerate() {
         q.schedule(Time::ZERO + delay(x), i as u64);
     }
-    for (key, &x) in xs[..KEYS].iter().enumerate() {
+    for (key, &x) in xs[..keys].iter().enumerate() {
         q.set_timer(key, Some(Time::ZERO + delay(x >> 3)));
     }
     for &x in &xs[depth..depth + rounds] {
@@ -342,7 +345,7 @@ fn churn<Q: Queue>(depth: usize, rounds: usize, xs: &[u64]) -> (usize, u64) {
                 q.set_timer(key, Some(t + delay(x >> 5)));
             }
         }
-        let key = (x >> 40) as usize % KEYS;
+        let key = (x >> 40) as usize % keys;
         q.set_timer(key, Some(q.now() + delay(x >> 13)));
     }
     (4 * rounds, sum)
@@ -370,36 +373,38 @@ fn measure_pair(
 fn main() {
     let fast = std::env::var("CLOUDLB_FAST").is_ok_and(|v| v != "0");
     let rounds = if fast { 200_000 } else { 1_000_000 };
-    let xs = stream(rounds + DEPTHS[DEPTHS.len() - 1]);
+    let deepest = SHAPES.iter().map(|&(_, depth)| depth).max().expect("a shape");
+    let xs = stream(rounds + deepest);
     cloudlb_bench::header("EventQueue microbench — radix heap vs binary heap");
 
-    let mut depths = Vec::new();
-    for depth in DEPTHS {
+    let mut shapes = Vec::new();
+    for (keys, depth) in SHAPES {
         let [(radix, c1), (heap, c2)] = measure_pair(
-            || churn::<EventQueue<u64>>(depth, rounds, &xs),
-            || churn::<heap_queue::HeapQueue<u64>>(depth, rounds, &xs),
+            || churn::<EventQueue<u64>>((keys, depth), rounds, &xs),
+            || churn::<heap_queue::HeapQueue<u64>>((keys, depth), rounds, &xs),
         );
-        assert_eq!(c1, c2, "depth {depth}: both queues must fire the same sequence");
+        assert_eq!(c1, c2, "{keys} keys, depth {depth}: both queues must fire the same sequence");
         println!(
-            "depth {depth:>5}: radix {:.2} Mops/s vs heap {:.2} Mops/s ({:.2}x)",
+            "{keys:>3} keys, depth {depth:>5}: radix {:.2} Mops/s vs heap {:.2} Mops/s ({:.2}x)",
             radix / 1e6,
             heap / 1e6,
             radix / heap
         );
-        depths.push(DepthRecord {
+        shapes.push(ShapeRecord {
+            keys,
             depth,
             radix_ops_per_sec: radix,
             heap_ops_per_sec: heap,
             speedup: radix / heap,
         });
     }
-    let record = MicroRecord { name: "event_queue".into(), rounds, keys: KEYS, depths };
+    let record = MicroRecord { name: "event_queue".into(), rounds, shapes };
     let path = cloudlb_bench::baseline::write_json("event_queue", &record);
     println!("wrote {}", path.display());
-    if let Some(slow) = record.depths.iter().find(|d| d.speedup < 1.0) {
+    if let Some(slow) = record.shapes.iter().find(|d| d.speedup < 1.0) {
         eprintln!(
-            "FAIL: the radix queue is slower than the binary heap at depth {} ({:.2}x)",
-            slow.depth, slow.speedup
+            "FAIL: the radix queue is slower than the binary heap at {} keys, depth {} ({:.2}x)",
+            slow.keys, slow.depth, slow.speedup
         );
         std::process::exit(1);
     }

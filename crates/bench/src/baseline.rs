@@ -190,10 +190,12 @@ pub struct PipelineRecord {
     /// Real runs in the reference-pool-vs-`pipeline_map` A/B.
     pub uniform_runs: usize,
     /// Best-of-5 wall-clock of the reference pool over those runs,
-    /// seconds (the key keeps its historical name so checked-in
+    /// seconds; each rep is the mean of 8 passes, alternating with the
+    /// pipeline's (the key keeps its historical name so checked-in
     /// baselines stay comparable).
     pub uniform_par_map_wall_s: f64,
-    /// Best-of-5 wall-clock of `pipeline_map` over the same runs.
+    /// Best-of-5 wall-clock of `pipeline_map` over the same runs, timed
+    /// the same way.
     pub uniform_pipeline_wall_s: f64,
     /// `reference pool / pipeline` wall ratio (≥ 1 = pipeline at least
     /// matches). Gated ≥ 0.9 (within noise); typically ≥ 1.0.

@@ -10,33 +10,51 @@
 //! This is the hottest structure in the repo: every simulated message,
 //! interference action, LB step and core wake passes through it. Simulated
 //! time never goes backwards, so the queue is a monotone radix heap keyed
-//! on µs time (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990). Its base is the
-//! clock, `now`. An entry at `now` sits in the *current* bucket; any later
-//! entry sits in bucket `b`, where `b` is the highest bit in which its
-//! instant differs from `now`. A schedule is one push. A pop takes the
-//! front of the current bucket. When that is empty, the lowest non-empty
-//! bucket is *split*: the clock moves to its earliest live instant and
-//! each of its entries moves to a strictly lower bucket, so an entry moves
-//! at most 64 times in its life (a handful in practice) and is never
-//! compared with another except to find a split's minimum.
+//! on µs time (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) behind a level
+//! of exact-instant slots. Its base is the clock, `now`. An entry at `now`
+//! sits in the *current* list. A later entry in the same 64-µs block as
+//! `now` (it differs from `now` only in bits 0–5) sits in *slot*
+//! `at % 64`, which holds that one instant. Any other entry sits in
+//! *bucket* `b`, where `b` (6..63) is the highest bit in which its instant
+//! differs from `now`. A schedule is one push. A pop takes the front of
+//! the current list. When that is empty, the lowest non-empty *place* is
+//! moved into it. Every slot entry is in `now`'s block and every bucket
+//! entry is past it, and a lower slot or bucket holds earlier instants, so
+//! the slots precede the buckets and an occupancy bitmap over each finds
+//! that place with one `trailing_zeros`.
 //!
-//! Every bucket stays in `seq` order without sorting: a push appends the
-//! largest seq yet, and a bucket is split only into buckets that are all
-//! empty, in its own order. So the current bucket pops in FIFO order.
+//! A slot is *promoted* whole: the clock moves to its instant and its
+//! entries go to the current list, with no minimum to find and no entry
+//! placed twice. Moving the clock within the block leaves every other
+//! entry where it was. A bucket is *split*: the clock moves to its
+//! earliest live instant and each of its entries moves to the current
+//! list, a slot or a strictly lower bucket, so an entry moves at most 59
+//! times in its life (a handful in practice) and is never compared with
+//! another except to find a split's minimum. Most schedules land within a
+//! block of `now` (message latencies are tens of µs), so most entries are
+//! placed once and promoted once.
+//!
+//! Every place stays in `seq` order without sorting: a push appends the
+//! largest seq yet, and a bucket is split only when every slot and lower
+//! bucket is empty, in its own order. So the current list pops in FIFO
+//! order.
 //!
 //! The base never passes the clock, or a later schedule at `now` would
-//! land in the wrong bucket: a split moves the clock to its bucket's
-//! earliest *live* entry (see Timers), and a bucket that holds only stale
+//! land in the wrong place: the clock moves only to a place's earliest
+//! *live* entry (see Timers), and a slot or bucket that holds only stale
 //! entries is dropped whole.
 //!
-//! A bucket fills a chunk of 64 entries in place. When the chunk is
-//! full it moves behind the bucket's earlier full chunks and the bucket
-//! takes an empty one from a pool shared by all buckets; a split returns
-//! the full chunks to the pool and keeps the emptied one in place. So the
-//! queue holds about as many chunks as its live entries fill, plus one per
-//! bucket in use, and allocates nothing once the pool covers its peak: no
-//! bucket keeps the capacity of its own busiest moment, and no buffer is
-//! freed only to be allocated again.
+//! A place fills a chunk of 64 entries in place. When the chunk is full
+//! it moves behind the place's earlier full chunks and the place takes an
+//! empty one from a pool shared by all places; a promotion or split
+//! returns the full chunks to the pool and keeps the emptied one in place.
+//! So the queue holds about as many chunks as its live entries fill, plus
+//! at most one per place, and allocates nothing once the pool covers its
+//! peak: no place keeps more than one chunk of its busiest moment, and no
+//! buffer is freed only to be allocated again. A slot that handed its last
+//! chunk back too would take one from the pool at its next push: at 8
+//! keys and 8–32 events in flight that round trip costs about an eighth
+//! of the queue's time.
 //!
 //! A single event is never withdrawn: the only removal besides a pop is
 //! [`EventQueue::discard_events`], which drops every pending payload event
@@ -48,11 +66,11 @@
 //!
 //! Besides payload events the queue holds at most one *timer* per key
 //! (the executor keys them by core: "this core completes something at
-//! `t`"). A timer is an entry in the same buckets, tagged with its key.
+//! `t`"). A timer is an entry in the same places, tagged with its key.
 //! Setting a timer takes the next sequence number exactly as scheduling an
 //! event does and pushes a fresh entry; the key remembers that seq. The
 //! entry the timer held before is not looked for: it is left in place,
-//! *stale*, and dropped unseen when a pop or a split reaches it. So
+//! *stale*, and dropped unseen when a pop, promotion or split reaches it. So
 //! [`EventQueue::pop`] fires events and live timers together in one
 //! `(time, seq)` order, and moving a timer costs one push.
 //!
@@ -60,16 +78,20 @@
 //! `peak_depth` and `window_peak` count a pending timer as one event and
 //! a stale entry as none. A timer that fired keeps its instant until it is
 //! set to another one, and stays *due* ([`EventQueue::timers_due`]) until
-//! then. The queue lists the timers that entered the current bucket and
-//! prunes the list at each split to the ones that fired and were not set
-//! since, so the keys due at `now` are read without a scan of the keys.
+//! then. The queue lists the timers that entered the current list and
+//! prunes the list whenever the clock moves to the ones that fired and
+//! were not set since, so the keys due at `now` are read without a scan of
+//! the keys.
 
 use crate::time::Time;
 use std::collections::VecDeque;
 
-/// Buckets besides the current one: one per bit of a µs instant.
+/// Exact-instant slots: one per µs of a 64-µs block.
+const SLOTS: usize = 64;
+/// Buckets: one per bit of a µs instant. Buckets 0–5 stay empty: an entry
+/// that differs from `now` only in those bits is in a slot.
 const BUCKETS: usize = 64;
-/// Entries per chunk of bucket storage (2 KiB of 32-byte entries).
+/// Entries per chunk of place storage (2 KiB of 32-byte entries).
 const CHUNK: usize = 64;
 
 /// What a queue entry carries.
@@ -81,21 +103,21 @@ enum Item<E> {
     Timer(u32),
 }
 
-/// One radix bucket: its full chunks, then the chunk being filled, all
+/// One slot or bucket: its full chunks, then the chunk being filled, all
 /// in seq order.
 #[derive(Debug)]
-struct Bucket<E> {
+struct Place<E> {
     full: Vec<Vec<Entry<E>>>,
     tail: Vec<Entry<E>>,
 }
 
-impl<E> Default for Bucket<E> {
+impl<E> Default for Place<E> {
     fn default() -> Self {
-        Bucket { full: Vec::new(), tail: Vec::new() }
+        Place { full: Vec::new(), tail: Vec::new() }
     }
 }
 
-impl<E> Bucket<E> {
+impl<E> Place<E> {
     fn is_empty(&self) -> bool {
         self.full.is_empty() && self.tail.is_empty()
     }
@@ -103,9 +125,17 @@ impl<E> Bucket<E> {
     fn chunks(&self) -> impl Iterator<Item = &Vec<Entry<E>>> {
         self.full.iter().chain(std::iter::once(&self.tail))
     }
+
+    /// Move the full tail behind the full chunks and take an empty chunk
+    /// from `pool`.
+    #[cold]
+    fn spill(&mut self, pool: &mut Vec<Vec<Entry<E>>>) {
+        let fresh = pool.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+        self.full.push(std::mem::replace(&mut self.tail, fresh));
+    }
 }
 
-/// A queued event or timer. Its position in the buckets orders it.
+/// A queued event or timer. Its position in the places orders it.
 #[derive(Debug)]
 struct Entry<E> {
     at: Time,
@@ -162,16 +192,32 @@ fn live<E>(timers: &[Timer], e: &Entry<E>) -> bool {
     }
 }
 
+/// Keep in `due` only the timers that fired and were not set since: the
+/// clock is about to move, and every other timer listed at the old instant
+/// has moved already.
+fn prune_due(due: &mut Vec<(u32, u64)>, timers: &[Timer]) {
+    due.retain(|&(key, seq)| {
+        let timer = timers[key as usize];
+        timer.state == TimerState::Fired && timer.seq == seq
+    });
+}
+
 /// Deterministic event queue with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// The entries at `now`, in seq order.
     current: VecDeque<Entry<E>>,
+    /// `slots[s]`: the entries at instant `s` of `now`'s 64-µs block,
+    /// after `now`.
+    slots: [Place<E>; SLOTS],
     /// `buckets[b]`: the entries whose instant first differs from `now`
-    /// at bit `b`.
-    buckets: [Bucket<E>; BUCKETS],
-    /// Bit `b` set exactly when `buckets[b]` is non-empty.
-    occupied: u64,
+    /// at bit `b` (6..63).
+    buckets: [Place<E>; BUCKETS],
+    /// Bit `s` of the first word set exactly when `slots[s]` is non-empty,
+    /// bit `b` of the second when `buckets[b]` is. Two words, not one
+    /// `u128`: its shifts by a variable cost about a tenth of the queue's
+    /// time at 8 keys.
+    occupied: [u64; 2],
     /// Empty chunks of capacity [`CHUNK`].
     pool: Vec<Vec<Entry<E>>>,
     next_seq: u64,
@@ -187,9 +233,9 @@ pub struct EventQueue<E> {
     window_peak: usize,
     /// Per key.
     timers: Vec<Timer>,
-    /// `(key, seq)` of every timer entry that entered the current bucket
-    /// since the last split, and of every timer that fired before it and
-    /// was not set since: a superset of the keys due at `now`.
+    /// `(key, seq)` of every timer entry that entered the current list
+    /// since the clock last moved, and of every timer that fired before
+    /// and was not set since: a superset of the keys due at `now`.
     due: Vec<(u32, u64)>,
 }
 
@@ -204,8 +250,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             current: VecDeque::new(),
-            buckets: std::array::from_fn(|_| Bucket::default()),
-            occupied: 0,
+            slots: std::array::from_fn(|_| Place::default()),
+            buckets: std::array::from_fn(|_| Place::default()),
+            occupied: [0; 2],
             pool: Vec::new(),
             next_seq: 0,
             now: Time::ZERO,
@@ -241,7 +288,7 @@ impl<E> EventQueue<E> {
         seq
     }
 
-    /// Put `e` (at or after `now`) in its bucket, behind every entry there.
+    /// Put `e` (at or after `now`) in its place, behind every entry there.
     fn push(&mut self, e: Entry<E>) {
         let diff = e.at.as_us() ^ self.now.as_us();
         if diff == 0 {
@@ -251,21 +298,19 @@ impl<E> EventQueue<E> {
             self.current.push_back(e);
             return;
         }
-        let b = 63 - diff.leading_zeros() as usize;
-        if self.buckets[b].tail.len() == CHUNK {
-            self.spill(b);
+        let place = if diff < SLOTS as u64 {
+            let s = (e.at.as_us() % SLOTS as u64) as usize;
+            self.occupied[0] |= 1 << s;
+            &mut self.slots[s]
+        } else {
+            let b = 63 - diff.leading_zeros() as usize;
+            self.occupied[1] |= 1 << b;
+            &mut self.buckets[b]
+        };
+        if place.tail.len() == CHUNK {
+            place.spill(&mut self.pool);
         }
-        self.buckets[b].tail.push(e);
-        self.occupied |= 1 << b;
-    }
-
-    /// Move bucket `b`'s full tail behind its full chunks and give it an
-    /// empty one from the pool.
-    #[cold]
-    fn spill(&mut self, b: usize) {
-        let fresh = self.pool.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
-        let bucket = &mut self.buckets[b];
-        bucket.full.push(std::mem::replace(&mut bucket.tail, fresh));
+        place.tail.push(e);
     }
 
     fn raise_peaks(&mut self) {
@@ -314,7 +359,7 @@ impl<E> EventQueue<E> {
     /// Keys whose timer is due at `t` into `out` (cleared first), in no
     /// particular order: every fired timer, and every pending one at or
     /// before `t`. At `t == now` this reads the short list of timers that
-    /// reached the current bucket; any other `t` scans every key.
+    /// reached the current list; any other `t` scans every key.
     pub fn timers_due(&self, t: Time, out: &mut Vec<usize>) {
         out.clear();
         let timers = &self.timers;
@@ -348,7 +393,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Time, Popped<E>)> {
         loop {
             let Some(entry) = self.current.pop_front() else {
-                if !self.split() {
+                if !self.refill() {
                     return None;
                 }
                 continue;
@@ -372,44 +417,82 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Refill the (empty) current bucket from the lowest bucket holding a
-    /// live entry, moving the clock to that bucket's earliest live instant.
+    /// Refill the (empty) current list from the lowest place holding a
+    /// live entry, moving the clock to that place's earliest live instant.
     /// Returns `false`, with the clock unmoved, when nothing live is left.
-    fn split(&mut self) -> bool {
-        while self.occupied != 0 {
-            let b = self.occupied.trailing_zeros() as usize;
-            self.occupied &= !(1 << b);
-            let mut bucket = std::mem::take(&mut self.buckets[b]);
-            let timers = &self.timers;
-            let mut min = None;
-            for e in bucket.chunks().flatten() {
-                if live(timers, e) && min.is_none_or(|m| e.at < m) {
-                    min = Some(e.at);
-                }
-            }
-            if let Some(min) = min {
-                // Every timer listed at the old instant has fired or moved.
-                self.due.retain(|&(key, seq)| {
-                    let timer = timers[key as usize];
-                    timer.state == TimerState::Fired && timer.seq == seq
-                });
-                self.now = min;
-            }
-            for chunk in bucket.full.iter_mut().chain([&mut bucket.tail]) {
-                for e in chunk.drain(..) {
-                    if live(&self.timers, &e) {
-                        self.push(e);
-                    }
-                }
-            }
-            // The emptied tail stays; full chunks go back to the pool.
-            self.pool.append(&mut bucket.full);
-            self.buckets[b] = bucket;
-            if min.is_some() {
+    fn refill(&mut self) -> bool {
+        loop {
+            let [slots, buckets] = self.occupied;
+            let refilled = if slots != 0 {
+                self.promote(slots.trailing_zeros() as usize)
+            } else if buckets != 0 {
+                self.split(buckets.trailing_zeros() as usize)
+            } else {
+                return false;
+            };
+            if refilled {
+                // Each key is listed at most once: fired and not set since,
+                // or pending with its live entry now in the current list.
+                debug_assert!(self.due.len() <= self.timers.len(), "due list not pruned");
                 return true;
             }
         }
-        false
+    }
+
+    /// Move slot `s`'s live entries, all at one instant, to the current
+    /// list and the clock to their instant. Returns `false`, with the
+    /// clock unmoved, when none is live.
+    fn promote(&mut self, s: usize) -> bool {
+        self.occupied[0] &= !(1 << s);
+        let slot = &mut self.slots[s];
+        let timers = &self.timers;
+        let mut moved = false;
+        for chunk in slot.full.iter_mut().chain([&mut slot.tail]) {
+            for e in chunk.drain(..) {
+                // A stale entry is dropped: it never moves the clock.
+                if !live(timers, &e) {
+                    continue;
+                }
+                if !moved {
+                    prune_due(&mut self.due, timers);
+                    self.now = e.at;
+                    moved = true;
+                }
+                if let Item::Timer(key) = e.item {
+                    self.due.push((key, e.seq));
+                }
+                self.current.push_back(e);
+            }
+        }
+        // The emptied tail stays; full chunks go back to the pool.
+        self.pool.append(&mut slot.full);
+        moved
+    }
+
+    /// Move bucket `b`'s live entries to lower places and the clock to
+    /// their earliest instant. Returns `false`, with the clock unmoved,
+    /// when none is live.
+    fn split(&mut self, b: usize) -> bool {
+        self.occupied[1] &= !(1 << b);
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        let timers = &self.timers;
+        let to = bucket.chunks().flatten().filter(|e| live(timers, e)).map(|e| e.at).min();
+        if let Some(to) = to {
+            prune_due(&mut self.due, timers);
+            self.now = to;
+        }
+        // Every slot and lower bucket is empty, so the entries keep their
+        // order.
+        for chunk in bucket.full.iter_mut().chain([&mut bucket.tail]) {
+            for e in chunk.drain(..) {
+                if live(&self.timers, &e) {
+                    self.push(e);
+                }
+            }
+        }
+        self.pool.append(&mut bucket.full);
+        self.buckets[b] = bucket;
+        to.is_some()
     }
 
     /// Drop every pending payload event, un-popped, and return how many
@@ -419,14 +502,17 @@ impl<E> EventQueue<E> {
         let timers = &self.timers;
         let keep = |e: &Entry<E>| matches!(e.item, Item::Timer(_)) && live(timers, e);
         self.current.retain(keep);
-        self.occupied = 0;
-        for (b, bucket) in self.buckets.iter_mut().enumerate() {
-            bucket.full.retain_mut(|chunk| {
-                chunk.retain(keep);
-                !chunk.is_empty()
-            });
-            bucket.tail.retain(keep);
-            self.occupied |= u64::from(!bucket.is_empty()) << b;
+        let levels = [&mut self.slots, &mut self.buckets].into_iter().zip(&mut self.occupied);
+        for (places, bits) in levels {
+            *bits = 0;
+            for (p, place) in places.iter_mut().enumerate() {
+                place.full.retain_mut(|chunk| {
+                    chunk.retain(keep);
+                    !chunk.is_empty()
+                });
+                place.tail.retain(keep);
+                *bits |= u64::from(!place.is_empty()) << p;
+            }
         }
         std::mem::take(&mut self.events)
     }
@@ -485,7 +571,7 @@ impl<E> EventQueue<E> {
     /// particular order; sort by `seq` for a FIFO-consistent view. Timers
     /// are not included (see [`EventQueue::pending_timers`]).
     pub fn events(&self) -> impl Iterator<Item = (Time, u64, &E)> + '_ {
-        let later = self.buckets.iter().flat_map(Bucket::chunks).flatten();
+        let later = self.slots.iter().chain(&self.buckets).flat_map(Place::chunks).flatten();
         self.current.iter().chain(later).filter_map(Entry::event)
     }
 }

@@ -84,9 +84,10 @@ fn event_queue_discard_keeps_timers() {
 /// (`Err(key)`) under its own sequence counter and counters, each timer
 /// moved by removing its entry and inserting a fresh one, and a
 /// `BTreeSet` of `(instant, key)` mirroring every timer that is pending or
-/// fired-and-not-since-set.
+/// fired-and-not-since-set. Its clock is the instant of the last pop.
 #[derive(Default)]
 struct QueueModel {
+    now: Time,
     pending: BTreeMap<(Time, u64), Result<u64, usize>>,
     /// Per key: the instant its timer is set to and the seq it took.
     timer: Vec<Option<(Time, u64)>>,
@@ -123,6 +124,7 @@ impl QueueModel {
 
     fn pop(&mut self) -> Option<(Time, Popped<u64>)> {
         let ((t, _), entry) = self.pending.pop_first()?;
+        self.now = t;
         self.popped += 1;
         Some((t, entry.map_or_else(Popped::Timer, Popped::Event)))
     }
@@ -134,24 +136,39 @@ impl QueueModel {
     }
 }
 
-/// A gap ahead of `now`: mostly within 50 µs, one in four up to 2^33 µs
-/// (as far out as a script event), so every radix bucket sees traffic.
+/// A gap ahead of `now`: mostly within 50 µs, one in eight at the edge
+/// of a 64-µs block (+1, +62 … +65), and one in four up to 2^33 µs (as
+/// far out as a script event), so every slot and radix bucket sees
+/// traffic.
 fn gap(rng: &mut SimRng) -> Dur {
-    if rng.below(4) == 0 {
-        let bits = rng.range_u64(1, 34);
-        Dur::from_us(rng.below(1 << bits))
-    } else {
-        Dur::from_us(rng.below(50))
+    match rng.below(8) {
+        0 | 1 => {
+            let bits = rng.range_u64(1, 34);
+            Dur::from_us(rng.below(1 << bits))
+        }
+        2 => Dur::from_us([1, 62, 63, 64, 65][rng.below(5) as usize]),
+        _ => Dur::from_us(rng.below(50)),
+    }
+}
+
+/// Pop, against the model, until the clock reaches `to`.
+fn walk_clock(q: &mut EventQueue<u64>, model: &mut QueueModel, to: Time, case: usize) {
+    while q.now() < to {
+        assert_eq!(q.pop(), model.pop(), "case {case}: pop on the walk to {to:?}");
     }
 }
 
 /// The queue matches the reference model: the same pops in the same
-/// order, the same sequence counter and counters, and the same due keys
-/// at every instant, under random mixes of schedules (near and up to 2^33
-/// µs ahead), timer sets, moves, clears, bursts of re-arms of one timer
-/// between pops, discards with live and stale timers pending, and pops.
-/// Each case ends with a drain in which only stale timers are left: it
-/// must not move the clock, and a schedule at `now` afterwards pops first.
+/// order, the same clock, sequence counter and counters, the same pending
+/// events and timers and the same due keys at every instant, under random
+/// mixes of schedules (near, at the edges of a 64-µs block, and up to
+/// 2^33 µs ahead), timer sets, moves, clears, bursts of re-arms of one
+/// timer between pops (which leave stale entries in slots and buckets),
+/// walks of the clock to the last µs of a block followed by schedules
+/// across it, discards with live and stale timers pending, and pops.
+/// Each case ends with drains in which only stale timers are left, near
+/// (in slots) and far (in buckets, over a chunk of them): they must not
+/// move the clock, and a schedule at `now` afterwards pops first.
 #[test]
 fn event_queue_matches_the_reference_model() {
     let mut rng = SimRng::new(0x00E0_E007);
@@ -162,7 +179,7 @@ fn event_queue_matches_the_reference_model() {
         let (mut due, mut want_due) = (Vec::new(), Vec::new());
         for op in 0..400u64 {
             let now = q.now();
-            match rng.below(20) {
+            match rng.below(22) {
                 0..=5 => {
                     let at = now + gap(&mut rng);
                     q.schedule(at, op);
@@ -193,8 +210,29 @@ fn event_queue_matches_the_reference_model() {
                     q.set_timer(key, at);
                     model.set(key, at);
                 }
+                12 => {
+                    // Walk to the block's last µs, then cross the block
+                    // from there: events, and re-arms of one timer among
+                    // them.
+                    let end = Time::from_us(now.as_us() | 63);
+                    q.schedule(end, op);
+                    model.push(end, Ok(op));
+                    walk_clock(&mut q, &mut model, end, case);
+                    let key = rng.below(keys as u64) as usize;
+                    for (i, d) in [1, 64, 65, 63].into_iter().enumerate() {
+                        let at = end + Dur::from_us(d);
+                        if i == rng.below(4) as usize {
+                            q.set_timer(key, Some(at));
+                            model.set(key, Some(at));
+                        } else {
+                            q.schedule(at, op);
+                            model.push(at, Ok(op));
+                        }
+                    }
+                }
                 _ => assert_eq!(q.pop(), model.pop(), "case {case} op {op}: pop"),
             }
+            assert_eq!(q.now(), model.now, "case {case} op {op}: clock");
             assert_eq!(q.len(), model.pending.len(), "case {case} op {op}: len");
             assert_eq!(q.next_seq(), model.next_seq, "case {case} op {op}: seq");
             assert_eq!(q.total_popped(), model.popped, "case {case} op {op}");
@@ -206,21 +244,37 @@ fn event_queue_matches_the_reference_model() {
             want_due.extend(model.due.range(..=(now, usize::MAX)).map(|&(_, key)| key));
             want_due.sort_unstable();
             assert_eq!(due, want_due, "case {case} op {op}: due at {now:?}");
+            let mut events: Vec<_> = q.events().map(|(t, seq, &p)| ((t, seq), p)).collect();
+            events.sort_unstable();
+            let want: Vec<_> =
+                model.pending.iter().filter_map(|(&k, &e)| Some((k, e.ok()?))).collect();
+            assert_eq!(events, want, "case {case} op {op}: events");
+            let mut timers: Vec<_> = q.pending_timers().collect();
+            timers.sort_unstable();
+            let timer = |(&(t, _), &e): (_, &Result<u64, usize>)| Some((e.err()?, t));
+            let mut want: Vec<_> = model.pending.iter().filter_map(timer).collect();
+            want.sort_unstable();
+            assert_eq!(timers, want, "case {case} op {op}: pending timers");
         }
-        // Discard the events, then re-arm every timer far ahead and clear
-        // it: only stale entries are left.
+        // Discard the events, then re-arm every timer near and clear it:
+        // only stale slot entries are left. Then the same far ahead, over
+        // a chunk of entries per bucket.
         assert_eq!(q.discard_events(), model.discard(), "case {case}: final discard");
         let now = q.now();
-        for key in 0..keys {
-            let at = Some(now + Dur::from_us(1 << 33) + gap(&mut rng));
-            q.set_timer(key, at);
-            model.set(key, at);
-            q.set_timer(key, None);
-            model.set(key, None);
+        for far in [0, 1 << 33] {
+            for key in 0..keys {
+                for _ in 0..if far == 0 { 3 } else { 70 } {
+                    let at = Some(now + Dur::from_us(far + rng.range_u64(1, 64)));
+                    q.set_timer(key, at);
+                    model.set(key, at);
+                }
+                q.set_timer(key, None);
+                model.set(key, None);
+            }
+            assert!(q.is_empty() && model.pending.is_empty(), "case {case}: stale only");
+            assert_eq!(q.pop(), None, "case {case}: a stale timer fired");
+            assert_eq!(q.now(), now, "case {case}: draining stale timers moved the clock");
         }
-        assert!(q.is_empty() && model.pending.is_empty(), "case {case}: stale only");
-        assert_eq!(q.pop(), None, "case {case}: a stale timer fired");
-        assert_eq!(q.now(), now, "case {case}: draining stale timers moved the clock");
         q.schedule(now + Dur::from_us(1), 1);
         model.push(now + Dur::from_us(1), Ok(1));
         q.schedule(now, 0);

@@ -5,11 +5,11 @@
 //! * **No panics** — the runtime must terminate normally or with a typed
 //!   [`RuntimeError`]; any unwind is a bug.
 //! * **Determinism** — a second run from the same seed must agree with
-//!   the first. When the first run completed and the scenario may
-//!   fast-forward, that second run is the fast-forward-off twin below,
-//!   compared modulo the skip counters. Otherwise (fast-forward off, or a
-//!   typed error), and on one seed in eight so that the skip counters stay
-//!   under the check too, a same-mode rerun must be bit-identical
+//!   the first. When the scenario may fast-forward, that second run is
+//!   the fast-forward-off twin below, compared modulo the skip counters,
+//!   or for a typed error on the exact error. Otherwise (fast-forward
+//!   off), and on one completed seed in eight so that the skip counters
+//!   stay under the check too, a same-mode rerun must be bit-identical
 //!   ([`RunResult`]'s full `PartialEq`), including the exact same typed
 //!   error when the run fails.
 //! * **Completion** — a normally-terminating run must have executed every
@@ -20,7 +20,8 @@
 //!   so a stranded chare here means a plan referenced a dead PE).
 //! * **Fast-forward equivalence** — when the scenario allows
 //!   macro-stepping, rerunning with `--fast-forward off` must produce the
-//!   same result modulo the two skip counters ([`RunResult::scrub_ff`]).
+//!   same result modulo the two skip counters ([`RunResult::scrub_ff`]),
+//!   or the same typed error.
 //!   Only a mismatch costs more runs: a same-mode rerun and a second off
 //!   run must each agree with their first, or the mismatch is
 //!   nondeterminism rather than a divergence.
@@ -32,7 +33,8 @@
 //! When several invariants break, the first in this list is reported; a
 //! panic of the off twin ranks with fast-forward equivalence.
 //! A seed that fast-forwards and passes costs three simulations: the run,
-//! its off twin and the clean twin.
+//! its off twin and the clean twin; one that ends in a typed error costs
+//! two, the run and its off twin.
 
 use cloudlb_core::{try_run_scenario, Scenario};
 use cloudlb_runtime::{FastForward, RunResult, RuntimeError};
@@ -152,9 +154,9 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One seed in this many keeps the full same-mode rerun even when the
-/// fast-forward-off twin already reruns its physics. The twin comparison
-/// scrubs the skip counters, so this sample keeps them under a
+/// One completed seed in this many keeps the full same-mode rerun even
+/// when the fast-forward-off twin already reruns its physics. The twin
+/// comparison scrubs the skip counters, so this sample keeps them under a
 /// determinism check.
 const FULL_RERUN_EVERY: u64 = 8;
 
@@ -192,20 +194,16 @@ fn check_with(
     };
 
     let first = run(scn).map_err(panicked("first run"))?;
-    // A completed run that may fast-forward gets a fast-forward-off twin,
-    // which reruns the same physics and so doubles as the determinism
-    // rerun. The full same-mode rerun stays where there is no twin and on
-    // a sample of the seeds.
-    let twinned = scn.fast_forward != FastForward::Off && first.is_ok();
-    let reran = !twinned || scn.seed.is_multiple_of(FULL_RERUN_EVERY);
+    // A run that may fast-forward gets a fast-forward-off twin, which
+    // reruns the same physics and so doubles as the determinism rerun,
+    // typed errors included. The full same-mode rerun stays where there is
+    // no twin and on a sample of the completed seeds.
+    let twinned = scn.fast_forward != FastForward::Off;
+    let reran = !twinned || (first.is_ok() && scn.seed.is_multiple_of(FULL_RERUN_EVERY));
     if reran && run(scn).map_err(panicked("rerun"))? != first {
         return Err(rerun_diverged());
     }
-
-    let result = match first {
-        Err(e) => return Ok(Outcome::TypedError(e.to_string())),
-        Ok(r) => r.scrub_ff(),
-    };
+    let first = first.map(RunResult::scrub_ff);
 
     // Fast-forward differential: macro-stepping may only change the skip
     // counters, never the physics. A divergence is reported only after
@@ -214,14 +212,11 @@ fn check_with(
     if twinned {
         let off = Scenario { fast_forward: FastForward::Off, ..scn.clone() };
         let twin = run(&off).map(|r| r.map(RunResult::scrub_ff));
-        if !matches!(&twin, Ok(Ok(t)) if *t == result) {
+        if twin.as_ref() != Ok(&first) {
             // Only a mismatch pays for more runs: the same-mode pair and a
             // second off pair must each agree before the twin's
             // disagreement counts as a divergence.
-            if !reran
-                && run(scn).map_err(panicked("rerun"))?.map(RunResult::scrub_ff).as_ref()
-                    != Ok(&result)
-            {
+            if !reran && run(scn).map_err(panicked("rerun"))?.map(RunResult::scrub_ff) != first {
                 return Err(rerun_diverged());
             }
             if run(&off).map(|r| r.map(RunResult::scrub_ff)) != twin {
@@ -230,19 +225,31 @@ fn check_with(
                     "two ff-off runs from the same seed diverged",
                 ));
             }
-            divergence = Some(match twin {
-                Err(p) => panicked("ff-off twin")(p),
-                Ok(Err(e)) => OracleFailure::new(
-                    FailureKind::FastForwardDivergence,
-                    format!("ff-off twin errored where the original completed: {e}"),
-                ),
-                Ok(Ok(_)) => OracleFailure::new(
-                    FailureKind::FastForwardDivergence,
-                    "fast-forwarded run differs from the event-by-event run",
-                ),
+            let diverged = |detail: String| {
+                OracleFailure::new(FailureKind::FastForwardDivergence, detail)
+            };
+            divergence = Some(match (twin, &first) {
+                (Err(p), _) => panicked("ff-off twin")(p),
+                (Ok(Err(e)), Ok(_)) => {
+                    diverged(format!("ff-off twin errored where the original completed: {e}"))
+                }
+                (Ok(Ok(_)), Err(e)) => {
+                    diverged(format!("ff-off twin completed where the original errored: {e}"))
+                }
+                (Ok(Err(e)), Err(_)) => {
+                    diverged(format!("ff-off twin errored differently from the original: {e}"))
+                }
+                (Ok(Ok(_)), Ok(_)) => {
+                    diverged("fast-forwarded run differs from the event-by-event run".into())
+                }
             });
         }
     }
+
+    let result = match first {
+        Err(e) => return divergence.map_or_else(|| Ok(Outcome::TypedError(e.to_string())), Err),
+        Ok(r) => r,
+    };
 
     if result.iter_times.len() != scn.iterations {
         return Err(OracleFailure::new(
@@ -475,13 +482,55 @@ mod tests {
         assert_eq!(f.detail, "ff-off twin: off only");
     }
 
+    fn refused(n: usize) -> RuntimeError {
+        RuntimeError::InvalidConfig(format!("refused {n}"))
+    }
+
     #[test]
     fn typed_errors_must_be_deterministic() {
-        let err = |n: usize| RuntimeError::InvalidConfig(format!("refused {n}"));
-        let (verdict, _) = scripted(&twinned(1), |_, _, _| Err(err(0)));
-        assert_eq!(verdict, Ok(Outcome::TypedError(err(0).to_string())));
-        let (verdict, _) = scripted(&twinned(1), |_, n, _| Err(err(n)));
+        let (verdict, _) = scripted(&twinned(1), |_, _, _| Err(refused(0)));
+        assert_eq!(verdict, Ok(Outcome::TypedError(refused(0).to_string())));
+        let mut calls = 0;
+        let (verdict, _) = scripted(&twinned(1), |_, _, _| {
+            calls += 1;
+            Err(refused(calls))
+        });
         assert_eq!(kind(verdict), FailureKind::Nondeterminism);
+        let off = Scenario { fast_forward: FastForward::Off, ..twinned(1) };
+        let (verdict, _) = scripted(&off, |_, n, _| Err(refused(n)));
+        assert_eq!(kind(verdict), FailureKind::Nondeterminism);
+    }
+
+    #[test]
+    fn a_typed_error_is_rerun_by_its_off_twin() {
+        // Off the sample and on it alike: the twin is the only rerun.
+        for seed in [1, 8] {
+            let mut modes = Vec::new();
+            let (verdict, runs) = scripted(&twinned(seed), |off, _, _| {
+                modes.push(off);
+                Err(refused(0))
+            });
+            assert_eq!(verdict, Ok(Outcome::TypedError(refused(0).to_string())));
+            assert_eq!((runs, modes), (2, vec![false, true]), "seed {seed}");
+        }
+        let off = Scenario { fast_forward: FastForward::Off, ..twinned(1) };
+        let (_, runs) = scripted(&off, |_, _, _| Err(refused(0)));
+        assert_eq!(runs, 2, "first run and its same-mode rerun");
+    }
+
+    #[test]
+    fn a_twin_that_disagrees_with_a_typed_error_is_ff_divergence() {
+        let (verdict, runs) =
+            scripted(&twinned(1), |off, _, r| if off { Ok(r) } else { Err(refused(0)) });
+        let f = verdict.unwrap_err();
+        assert_eq!(f.kind, FailureKind::FastForwardDivergence);
+        assert!(f.detail.contains("completed where the original errored"), "{f:?}");
+        assert_eq!(runs, 4, "the mismatch buys a same-mode rerun and a second off run");
+        let (verdict, _) = scripted(&twinned(1), |off, _, _| Err(refused(off as usize)));
+        let f = verdict.unwrap_err();
+        assert_eq!(f.kind, FailureKind::FastForwardDivergence);
+        assert!(f.detail.contains("errored differently from the original"), "{f:?}");
+        assert!(f.detail.ends_with("refused 1"), "the twin's error: {f:?}");
     }
 
     #[test]
