@@ -5,9 +5,9 @@
 //!
 //! 1. **fails (exit 1) on any divergence**: after scrubbing the two
 //!    observability counters, every `RunResult` must be bit-identical
-//!    between the modes;
+//!    between the modes, and every run must replay a window;
 //! 2. records the ON throughput (plus the OFF arm and the speedup) to
-//!    `BENCH_fastforward.json`.
+//!    `BENCH_fastforward.json`, with each check as a gate.
 //!
 //! Clean long runs are the engine's best case: after the first window is
 //! captured, every later LB window replays analytically, so events/sec
@@ -24,24 +24,11 @@
 //! `perf_baseline.rs`); bit-identity under those is asserted by
 //! `tests/fast_forward.rs`.
 
-use cloudlb_bench::{baseline, sweeps, Settings};
+use cloudlb_bench::{baseline, sweeps};
 
 fn main() {
-    let s = Settings::from_env();
-    cloudlb_bench::header("Fast-forward — differential check + throughput");
-    let record = match sweeps::fastforward_sweep(&s) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("DIVERGENCE: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = sweeps::fastforward_interfered(&s) {
-        eprintln!("DIVERGENCE: {e}");
-        std::process::exit(1);
-    }
-    let path = baseline::write_json("fastforward", &record);
-    println!("wrote {}", path.display());
-    baseline::maybe_check(record.events_per_sec);
-    println!("PERF OK");
+    baseline::run(
+        "Fast-forward — differential check + throughput",
+        sweeps::fastforward_sweep,
+    );
 }

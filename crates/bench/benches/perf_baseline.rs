@@ -2,8 +2,8 @@
 //!
 //! Runs the full Fig. 2 / Fig. 4 matrix (Jacobi2D, Wave2D, Mol3D ×
 //! core counts × seeds × three arms) through the parallel sweep engine
-//! and serializes wall-clock, total simulator events, events/sec, and
-//! peak event-queue depth to `BENCH_fast.json` (under `CLOUDLB_FAST=1`)
+//! and writes one record (wall-clock, total simulator events, events/sec,
+//! peak event-queue depth) to `BENCH_fast.json` (under `CLOUDLB_FAST=1`)
 //! or `BENCH_sweep.json`. Fast-forward is pinned OFF so the record keeps
 //! measuring the raw event-by-event engine (the macro-stepper has its own
 //! baseline, `BENCH_fastforward.json`).
@@ -13,15 +13,8 @@
 //! below the checked-in baseline. CI's `bench-fast` job uses this
 //! against `crates/bench/baselines/BENCH_fast.json`.
 
-use cloudlb_bench::{baseline, sweeps, Settings};
+use cloudlb_bench::{baseline, sweeps};
 
 fn main() {
-    let s = Settings::from_env();
-    cloudlb_bench::header("Perf baseline — paper sweep throughput");
-    let record = sweeps::perf_sweep(&s);
-    let name = record.name.clone();
-    let path = baseline::write_json(&name, &record);
-    println!("wrote {}", path.display());
-    baseline::maybe_check(record.events_per_sec);
-    println!("PERF OK");
+    baseline::run("Perf baseline — paper sweep throughput", sweeps::perf_sweep);
 }

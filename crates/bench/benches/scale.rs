@@ -9,27 +9,15 @@
 //!    `CLOUDLB_SCALE_BUDGET_S` wall-clock budget, or `hiercloudrefine`
 //!    losing more than 5 % makespan to flat CloudRefine at the paper's
 //!    own 8 × 4-core scale;
-//! 2. records the gated flat-arm throughput (plus the hierarchical arm)
-//!    to `BENCH_scale.json`.
+//! 2. records the flat-arm throughput (plus the hierarchical arm), with
+//!    each check as a gate, to `BENCH_scale.json`.
 //!
 //! With `CLOUDLB_CHECK=<path>` the flat-arm throughput is gated against
 //! a checked-in baseline like the other perf benches. `CLOUDLB_FAST=1`
 //! shrinks the cluster to 2,048 cores / 65,536 chares for smoke runs.
 
-use cloudlb_bench::{baseline, sweeps, Settings};
+use cloudlb_bench::{baseline, sweeps};
 
 fn main() {
-    let s = Settings::from_env();
-    cloudlb_bench::header("Scale — 32k cores / 1M chares");
-    let record = match sweeps::scale_sweep(&s) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("SCALE GATE FAILED: {e}");
-            std::process::exit(1);
-        }
-    };
-    let path = baseline::write_json("scale", &record);
-    println!("wrote {}", path.display());
-    baseline::maybe_check(record.events_per_sec);
-    println!("PERF OK");
+    baseline::run("Scale — 32k cores / 1M chares", sweeps::scale_sweep);
 }

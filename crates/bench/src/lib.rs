@@ -1,9 +1,14 @@
 #![warn(missing_docs)]
-//! Shared plumbing for the figure-regeneration benches.
+//! Shared plumbing for the figure-regeneration and perf benches.
 //!
 //! Every bench target is a `harness = false` binary that runs the
 //! relevant experiment and prints the same rows/series the paper reports
-//! (EXPERIMENTS.md archives one run of each). Environment knobs:
+//! (EXPERIMENTS.md archives one run of each). The perf benches
+//! (`perf_baseline`, `fastforward`, `pipeline`, `scale`, `event_queue`,
+//! `comm_csr`) each write one [`baseline::Record`] through the shared
+//! [`baseline::run`]; the checked-in baselines are
+//! `crates/bench/baselines/BENCH_<name>.json`, refreshed by running a
+//! bench with `CLOUDLB_BENCH_DIR` pointing there. Environment knobs:
 //!
 //! * `CLOUDLB_FAST=1` — shrink the matrix (fewer seeds/iterations) for
 //!   smoke runs;
@@ -13,7 +18,8 @@
 //! * `CLOUDLB_BENCH_DIR=dir` — where perf benches write their
 //!   `BENCH_<name>.json` baselines (default: current directory);
 //! * `CLOUDLB_CHECK=path` — compare the fresh run against a checked-in
-//!   baseline and exit non-zero on a > 25 % events/sec regression.
+//!   baseline and exit non-zero on a > 25 % events/sec regression;
+//! * `CLOUDLB_SCALE_BUDGET_S=s` — the `scale` bench's wall-clock budget.
 
 pub mod baseline;
 pub mod sweeps;
